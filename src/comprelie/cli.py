@@ -33,11 +33,11 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .axioms import run_all, selftest_gaps
-from .dual import diamond_cp, diamond_ext, diamond_ucp, psi_inverse, psi_map, theta
+from .dual import diamond, diamond_down, psi_inverse, psi_map, theta
 from .handles import HANDLE_NAMES, get_handle
-from .lincomb import (LinComb, fmt_lincomb, fmt_scalar, fmt_tensor2,
-                      parse_scalar, unit)
-from .ptree import (EMPTY, ParseError, enum_one_rooted, enum_partitioned,
+from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
+                      fmt_tensor2, parse_scalar, unit)
+from .ptree import (ParseError, enum_one_rooted, enum_partitioned,
                     enum_plain_forests, enum_plain_trees, is_partitioned_tree,
                     parse, serialize)
 from .rigidity import TruncatedBialgebra, build_hopf_iso, build_omega, cofree_obstruction
@@ -152,11 +152,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"{args.algebra} has no commutative product")
     x = parse_lincomb(args.x, parse_key)
     y = parse_lincomb(args.y, parse_key)
-    out = LinComb()
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            out.iadd_scaled(cx * cy, op(kx, ky))
-    print(fmt_lincomb(out, key_str))
+    print(fmt_lincomb(bilinear_extend(op, x, y), key_str))
     return 0
 
 
@@ -196,18 +192,17 @@ def cmd_cm(args) -> int:
     return 0
 
 
-_DIAMONDS = {"ucp": diamond_ucp, "cp": diamond_cp, "ext": diamond_ext}
+# The one grafting rule underlies three preLie structures: on one-rooted
+# trees with counters (the counter-lowering variant), on one-rooted trees
+# without, and on arbitrary partitioned forests.
+_DIAMONDS = {"ucp": diamond_down, "cp": diamond, "ext": diamond}
 
 
 def cmd_diamond(args) -> int:
     x = parse_lincomb(args.x, parse)
     y = parse_lincomb(args.y, parse)
-    op = _DIAMONDS[args.variant]
-    out = LinComb()
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            out.iadd_scaled(cx * cy, op(kx, ky))
-    print(fmt_lincomb(out, serialize))
+    print(fmt_lincomb(bilinear_extend(_DIAMONDS[args.variant], x, y),
+                      serialize))
     return 0
 
 

@@ -22,6 +22,11 @@ duals of those coproducts (up to the usual symmetry factors).
   with no singleton child block at their roots; it lands in plain forests
   whose vertex labels name the pieces, and it intertwines products and
   cutting coproducts (tree multiplication becomes disjoint union).
+  Its target is spanned by plain forests over the weighted alphabet
+  ``theta_alphabet``: one (label, weight) pair per free generator, weighted
+  by its vertex count.  ``weighted_trees`` and ``weighted_forests`` list
+  them by total weight with the shared enumerator of :mod:`comprelie.ptree`,
+  so the dimensions of both sides can be compared.
 * ``psi_map`` sums all coarsenings (sibling-block merges, with multiplicity)
   of a tree; it turns new-block-only grafting into ``diamond`` and is
   invertible by triangularity in the block count.
@@ -29,13 +34,12 @@ duals of those coproducts (up to the usual symmetry factors).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lincomb import LinComb, unit
 from .ptree import (
     EMPTY,
     NEW_BLOCK,
     PForest,
+    _enum,
     admissible_partitions,
     canonicalize,
     coarsenings,
@@ -44,9 +48,6 @@ from .ptree import (
     graft_at,
     graft_shift,
     is_one_rooted,
-    restrict,
-    ser_block,
-    ser_node,
     serialize,
     varsigma,
     vertices,
@@ -83,14 +84,6 @@ def diamond_down(t: PForest, u: PForest) -> LinComb:
         for bi in range(len(nd[1])):
             out.add_term(graft_shift(t, ref, bi, u, -1), 1)
     return out
-
-
-# The same grafting rule underlies three preLie structures: on one-rooted
-# trees with counters (the shift variant), on one-rooted trees without, and
-# on arbitrary partitioned forests.  Named entry points:
-diamond_ucp = diamond_down
-diamond_cp = diamond
-diamond_ext = diamond
 
 
 # ---------------------------------------------------------------------------
@@ -156,69 +149,12 @@ def theta_alphabet(n: int, labels) -> list[tuple[str, int]]:
 def weighted_trees(n: int, gens: list[tuple[str, int]]) -> list:
     """Canonical plain-tree Nodes of total weight n, vertices labeled from
     the weighted alphabet `gens`."""
-    memo: dict[int, list] = {}
-    wmap = dict(gens)
-
-    def weight_of(nd) -> int:
-        return wmap[nd[0][1]] + sum(weight_of(c) for b in nd[1] for c in b)
-
-    def trees(m: int) -> list:
-        if m not in memo:
-            out = []
-            for lab, w in gens:
-                if w <= m:
-                    for kids in kid_multisets(m - w):
-                        blocks = sorted(((k,) for k in kids), key=ser_block)
-                        out.append(((0, lab), tuple(blocks)))
-            memo[m] = sorted(out, key=ser_node)
-        return memo[m]
-
-    def kid_multisets(m: int) -> list:
-        # multisets of trees of total weight m, in canonical order
-        items = []
-        for q in range(1, m + 1):
-            items.extend(trees(q))
-        items.sort(key=ser_node)
-        weights = [weight_of(nd) for nd in items]
-
-        def rec(total: int, start: int):
-            if total == 0:
-                yield ()
-                return
-            for i in range(start, len(items)):
-                if weights[i] <= total:
-                    for rest in rec(total - weights[i], i):
-                        yield (items[i],) + rest
-
-        return list(rec(m, 0))
-
-    return trees(n)
+    return list(_enum(gens).plain_nodes(n))
 
 
 def weighted_forests(n: int, gens: list[tuple[str, int]]) -> list[PForest]:
     """Canonical plain forests of total weight n over the weighted alphabet."""
-    items = []
-    for m in range(1, n + 1):
-        items.extend(weighted_trees(m, gens))
-    items.sort(key=ser_node)
-    wmap = dict(gens)
-
-    def weight_of(nd) -> int:
-        return wmap[nd[0][1]] + sum(weight_of(c) for b in nd[1] for c in b)
-
-    weights = [weight_of(nd) for nd in items]
-
-    def rec(total: int, start: int):
-        if total == 0:
-            yield ()
-            return
-        for i in range(start, len(items)):
-            if weights[i] <= total:
-                for rest in rec(total - weights[i], i):
-                    yield (items[i],) + rest
-
-    return [tuple(sorted(((nd,) for nd in ms), key=ser_block))
-            for ms in rec(n, 0)]
+    return _enum(gens).plain_forests(n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .dual import diamond, diamond_down
 from .lincomb import unit
 from .ptree import (
     EMPTY, canonicalize, enum_one_rooted, enum_partitioned,
-    enum_plain_forests, serialize,
+    enum_plain_forests, nvertices, serialize,
 )
 from .shuffle import (
     EPS, counit_word, deconcat, fmt_word, hyperboloid_products, shuffle,
@@ -53,31 +53,32 @@ def with_counters(forest, cap: int) -> list:
         return ((k2, lab),
                 tuple(tuple(node(c, it) for c in b) for b in blocks))
 
-    nverts = sum(1 + _count(nd) for b in forest for nd in b)
     out = set()
-    for combo in itertools.product(range(cap + 1), repeat=nverts):
+    for combo in itertools.product(range(cap + 1), repeat=nvertices(forest)):
         it = iter(combo)
         out.add(canonicalize(
             tuple(tuple(node(nd, it) for nd in b) for b in forest)))
     return sorted(out, key=serialize)
 
 
-def _count(nd) -> int:
-    return sum(1 + _count(c) for b in nd[1] for c in b)
+def _counter_basis(enum, labels, cap: int):
+    """Memoized degree -> basis: every tree of `enum` with counters 0..cap."""
+    @lru_cache(maxsize=None)
+    def basis(n: int) -> list:
+        out = set()
+        for t in enum(n, labels):
+            out.update(with_counters(t, cap))
+        return sorted(out, key=serialize)
+
+    return basis
 
 
 def ucp_handle(labels=("d",), counter_cap: int = 1) -> AlgebraHandle:
-    @lru_cache(maxsize=None)
-    def basis(n: int) -> list:
-        out = []
-        for t in enum_partitioned(n, labels):
-            out.extend(with_counters(t, counter_cap))
-        return sorted(set(out), key=serialize)
-
     return AlgebraHandle(
-        name="ucp", basis=basis, prelie=ucp_bullet, mul=mul_merge_lc,
-        unit=EMPTY, key_str=serialize, coproduct=coproduct_ucp,
-        counit=counit)
+        name="ucp",
+        basis=_counter_basis(enum_partitioned, labels, counter_cap),
+        prelie=ucp_bullet, mul=mul_merge_lc, unit=EMPTY, key_str=serialize,
+        coproduct=coproduct_ucp, counit=counit)
 
 
 def cp_handle(labels=("d",)) -> AlgebraHandle:
@@ -121,16 +122,10 @@ def dual_cp_handle(labels=("d",)) -> AlgebraHandle:
 
 
 def dual_ucp_handle(labels=("d",), counter_cap: int = 1) -> AlgebraHandle:
-    @lru_cache(maxsize=None)
-    def basis(n: int) -> list:
-        out = []
-        for t in enum_one_rooted(n, labels):
-            out.extend(with_counters(t, counter_cap))
-        return sorted(set(out), key=serialize)
-
     return AlgebraHandle(
-        name="dual-ucp", basis=basis, prelie=diamond_down, mul=None,
-        key_str=serialize)
+        name="dual-ucp",
+        basis=_counter_basis(enum_one_rooted, labels, counter_cap),
+        prelie=diamond_down, mul=None, key_str=serialize)
 
 
 _FACTORIES = {

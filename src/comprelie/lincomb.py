@@ -16,7 +16,7 @@ on fast int arithmetic and Fractions appear only where division does
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 
 class LinComb(dict):
@@ -187,7 +187,11 @@ def fmt_scalar(c: Fraction) -> str:
 
 
 def parse_scalar(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse `p` or `p/q`; raises ValueError on bad input, including q = 0."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {s!r}") from None
 
 
 def fmt_lincomb(x: LinComb, key_str: Callable[[Hashable], str]) -> str:
@@ -200,7 +204,3 @@ def fmt_lincomb(x: LinComb, key_str: Callable[[Hashable], str]) -> str:
 def fmt_tensor2(t: LinComb, key_str: Callable[[Hashable], str]) -> str:
     """Tensor2 format: `c*A (x) B` terms joined by ` + `."""
     return fmt_lincomb(t, lambda k: "%s (x) %s" % (key_str(k[0]), key_str(k[1])))
-
-
-def lincomb_from_terms(pairs: Iterable[tuple]) -> LinComb:
-    return LinComb(pairs)

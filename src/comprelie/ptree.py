@@ -232,14 +232,6 @@ def vertices(forest: PForest) -> list[tuple[VertexRef, Node]]:
     return out
 
 
-def get_node(forest: PForest, ref: VertexRef) -> Node:
-    (bi, ni), rest = ref[0], ref[1:]
-    nd = forest[bi][ni]
-    for bi, ni in rest:
-        nd = nd[1][bi][ni]
-    return nd
-
-
 def is_partitioned_tree(forest: PForest) -> bool:
     """At most one root block (the empty forest qualifies)."""
     return len(forest) <= 1
@@ -255,10 +247,6 @@ def is_plain(forest: PForest) -> bool:
 def is_one_rooted(forest: PForest) -> bool:
     """Exactly one root block containing exactly one vertex."""
     return len(forest) == 1 and len(forest[0]) == 1
-
-
-def all_counters_zero(forest: PForest) -> bool:
-    return counter_total(forest) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +362,6 @@ def graft_at(forest: PForest, ref: VertexRef, target, graft: PForest) -> PForest
     out = graft_shift(forest, ref, target, graft, 0)
     assert out is not None
     return out
-
-
-def child_block_count(forest: PForest, ref: VertexRef) -> int:
-    return len(get_node(forest, ref)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +580,13 @@ def contract(tree: PForest, partition: list[frozenset]) -> PForest:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration.  All counters are 0; labels range over a fixed alphabet.
-# Generation follows canonical order directly (multisets over sorted item
-# lists), so no dedup pass is needed.
+# Enumeration.  All counters are 0 and labels come from a weighted alphabet
+# of (label, weight) pairs; the size of a tree is the total weight of its
+# labels.  The `enum_*` functions give every label weight 1, so size is the
+# vertex count; `dual.weighted_forests` weighs each generator label of
+# `theta` by the vertex count of its generator.  Each family is built size
+# by size as multisets over the canonically sorted smaller families, so it
+# comes out canonical and needs no dedup pass.
 # ---------------------------------------------------------------------------
 
 def _multisets(items: list, sizes: list[int], total: int, start: int = 0):
@@ -614,111 +602,96 @@ def _multisets(items: list, sizes: list[int], total: int, start: int = 0):
 
 
 class _Enum:
-    """Memoized enumerator for one label alphabet."""
+    """Memoized enumerator for one weighted alphabet."""
 
-    def __init__(self, labels: tuple[str, ...]):
-        self.labels = tuple(labels)
+    def __init__(self, alphabet: tuple[tuple[str, int], ...]):
+        self.alphabet = tuple(alphabet)
         self._nodes: dict[int, list[Node]] = {}
         self._blocks: dict[int, list[Block]] = {}
         self._plain: dict[int, list[Node]] = {}
 
+    def _rooted(self, m: int, below) -> list[Node]:
+        """Canonical nodes of size m: a label of weight w over each block
+        list of size m - w that `below` gives."""
+        out = [((0, d), bl) for d, w in self.alphabet if w <= m
+               for bl in below(m - w)]
+        return sorted(out, key=ser_node)
+
+    @staticmethod
+    def _bags(layer, m: int, key) -> list[tuple]:
+        """Multisets of items of `layer(1..m)` with sizes summing to m,
+        each a tuple in `key` order."""
+        pairs = sorted(((x, q) for q in range(1, m + 1) for x in layer(q)),
+                       key=lambda p: key(p[0]))
+        return list(_multisets([x for x, _ in pairs],
+                               [q for _, q in pairs], m))
+
     def nodes(self, m: int) -> list[Node]:
-        """Canonical nodes (vertex + child blocks) with m vertices."""
+        """Canonical nodes (vertex + child blocks) of size m."""
         if m not in self._nodes:
-            out = []
-            for d in sorted(self.labels):
-                for bl in self.blocklists(m - 1):
-                    out.append(((0, d), bl))
-            self._nodes[m] = sorted(out, key=ser_node)
+            self._nodes[m] = self._rooted(m, self.blocklists)
         return self._nodes[m]
 
     def blocks(self, p: int) -> list[Block]:
-        """Canonical nonempty blocks with p vertices total."""
+        """Canonical nonempty blocks of size p >= 1."""
         if p not in self._blocks:
-            items: list[Node] = []
-            for m in range(1, p + 1):
-                items.extend(self.nodes(m))
-            items.sort(key=ser_node)
-            sizes = [_node_size(n) for n in items]
-            self._blocks[p] = sorted(
-                (t for t in _multisets(items, sizes, p) if t),
-                key=ser_block)
+            self._blocks[p] = sorted(self._bags(self.nodes, p, ser_node),
+                                     key=ser_block)
         return self._blocks[p]
 
     def blocklists(self, m: int) -> list[PForest]:
-        """Canonical block lists with m vertices total (m=0 gives ())."""
-        items: list[Block] = []
-        for p in range(1, m + 1):
-            items.extend(self.blocks(p))
-        items.sort(key=ser_block)
-        sizes = [sum(_node_size(n) for n in b) for b in items]
-        return list(_multisets(items, sizes, m))
+        """Canonical block lists of size m (m=0 gives ())."""
+        return self._bags(self.blocks, m, ser_block)
 
     def plain_nodes(self, m: int) -> list[Node]:
-        """Plain rooted trees (all blocks singleton) with m vertices."""
+        """Plain rooted trees (all blocks singleton) of size m."""
         if m not in self._plain:
-            out = []
-            if m >= 1:
-                for d in sorted(self.labels):
-                    items: list[Node] = []
-                    for q in range(1, m):
-                        items.extend(self.plain_nodes(q))
-                    items.sort(key=ser_node)
-                    sizes = [_node_size(n) for n in items]
-                    for kids in _multisets(items, sizes, m - 1):
-                        blocks = sorted(((k,) for k in kids), key=ser_block)
-                        out.append(((0, d), tuple(blocks)))
-            self._plain[m] = sorted(out, key=ser_node)
+            self._plain[m] = self._rooted(m, self.plain_forests)
         return self._plain[m]
 
-
-def _node_size(nd: Node) -> int:
-    return 1 + sum(_node_size(n) for b in nd[1] for n in b)
+    def plain_forests(self, m: int) -> list[PForest]:
+        """Plain rooted forests of size m (m=0 gives ())."""
+        return [tuple(sorted(((nd,) for nd in ms), key=ser_block))
+                for ms in self._bags(self.plain_nodes, m, ser_node)]
 
 
 _ENUMS: dict[tuple, _Enum] = {}
 
 
-def _enum(labels) -> _Enum:
-    key = tuple(sorted(labels))
+def _enum(alphabet) -> _Enum:
+    """The shared enumerator of a weighted alphabet."""
+    key = tuple(sorted(alphabet))
     if key not in _ENUMS:
         _ENUMS[key] = _Enum(key)
     return _ENUMS[key]
+
+
+def _unit_enum(labels) -> _Enum:
+    """The shared enumerator of plain labels, each of weight 1."""
+    return _enum((d, 1) for d in labels)
 
 
 def enum_partitioned(n: int, labels) -> list[PForest]:
     """Partitioned trees (single root block) with n vertices, counters 0."""
     if n == 0:
         return [EMPTY]
-    e = _enum(labels)
-    return [(b,) for b in e.blocks(n)]
+    return [(b,) for b in _unit_enum(labels).blocks(n)]
 
 
 def enum_plain_trees(n: int, labels) -> list[PForest]:
     """Plain rooted trees with n vertices (each its own singleton block)."""
     if n == 0:
         return [EMPTY]
-    e = _enum(labels)
-    return [((nd,),) for nd in e.plain_nodes(n)]
+    return [((nd,),) for nd in _unit_enum(labels).plain_nodes(n)]
 
 
 def enum_plain_forests(n: int, labels) -> list[PForest]:
     """Plain rooted forests with n vertices."""
-    if n == 0:
-        return [EMPTY]
-    e = _enum(labels)
-    items: list[Node] = []
-    for m in range(1, n + 1):
-        items.extend(e.plain_nodes(m))
-    items.sort(key=ser_node)
-    sizes = [_node_size(nd) for nd in items]
-    return [tuple(sorted(((nd,) for nd in ms), key=ser_block))
-            for ms in _multisets(items, sizes, n)]
+    return _unit_enum(labels).plain_forests(n)
 
 
 def enum_one_rooted(n: int, labels) -> list[PForest]:
     """Partitioned trees whose root block is a singleton, n vertices."""
     if n == 0:
         return []
-    e = _enum(labels)
-    return [((nd,),) for nd in e.nodes(n)]
+    return [((nd,),) for nd in _unit_enum(labels).nodes(n)]

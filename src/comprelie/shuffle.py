@@ -38,8 +38,9 @@ Two families are implemented concretely:
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Callable, Iterable, Iterator
+import re
+from itertools import product
+from typing import Iterator
 
 from .lincomb import LinComb, unit, ZERO
 
@@ -51,11 +52,20 @@ def fmt_word(w: Word) -> str:
     return ".".join(w) if w else "eps"
 
 
+_LETTER_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
 def parse_word(s: str) -> Word:
+    """Dot-separated letters, each matching [A-Za-z0-9_]+; `eps` or
+    nothing is the empty word.  Raises ValueError on a bad letter."""
     s = s.strip()
     if s in ("eps", ""):
         return EPS
-    return tuple(p.strip() for p in s.split("."))
+    word = tuple(p.strip() for p in s.split("."))
+    for x in word:
+        if not _LETTER_RE.fullmatch(x):
+            raise ValueError(f"bad letter {x!r} in word {s!r}")
+    return word
 
 
 def counit_word(w: Word):
@@ -158,14 +168,6 @@ def bullet_varpi(varpi: Varpi, u: Word, v: Word) -> LinComb:
     return out
 
 
-def bullet_varpi_lc(varpi: Varpi, a: LinComb, b: LinComb) -> LinComb:
-    out = LinComb()
-    for u, cu in a.items():
-        for v, cv in b.items():
-            out.iadd_scaled(cu * cv, bullet_varpi(varpi, u, v))
-    return out
-
-
 def words_of_length(letters, n: int) -> list[Word]:
     return [tuple(w) for w in product(sorted(letters), repeat=n)]
 
@@ -249,37 +251,6 @@ def bullet_tvf(f: EndoV, u: Word, v: Word) -> LinComb:
         for x, cx in fx.items():
             for w, cw in sh.items():
                 out.add_term(u[:i] + (x,) + w, cx * cw)
-    return out
-
-
-def shuffle_permutations(k: int, l: int):
-    """(k,l)-shuffles as (positions, m_k): `positions` lists where the
-    first word's letters land (increasing), and m_k is the length of the
-    initial run positions[0..m-1] == 0..m-1."""
-    for pos in combinations(range(k + l), k):
-        m = 0
-        while m < k and pos[m] == m:
-            m += 1
-        yield pos, m
-
-
-def bullet_tvf_shuffles(f: EndoV, u: Word, v: Word) -> LinComb:
-    """Same product, computed shuffle-by-shuffle: sum over (k,l)-shuffles
-    sigma and insertion depths i up to the initial fixed run of sigma,
-    applying f to the letter in position i of the shuffled word."""
-    k, l = len(u), len(v)
-    out = LinComb()
-    for pos, m in shuffle_permutations(k, l):
-        word = [None] * (k + l)
-        rest = [p for p in range(k + l) if p not in set(pos)]
-        for i, p in enumerate(pos):
-            word[p] = u[i]
-        for j, p in enumerate(rest):
-            word[p] = v[j]
-        for i in range(m):
-            fx = apply_endo(f, word[i])
-            for x, cx in fx.items():
-                out.add_term(tuple(word[:i]) + (x,) + tuple(word[i + 1:]), cx)
     return out
 
 

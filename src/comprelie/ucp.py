@@ -33,14 +33,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .lincomb import LinComb, ZERO, bilinear_extend, tensor2, unit
-from .linalg import solve, sparse_nullity
+from .lincomb import LinComb, unit
+from .linalg import sparse_nullity
 from .ptree import (
     EMPTY,
     NEW_BLOCK,
     PForest,
     _edit_at,
-    _multisets,
     build_root,
     canonicalize,
     enum_partitioned,
@@ -56,7 +55,7 @@ from .ptree import (
     split_ideal,
     vertices,
 )
-from .shuffle import Word, words_of_length
+from .shuffle import Word
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +176,7 @@ def reduced_coproduct(cop: Callable[[PForest], LinComb], t: PForest) -> LinComb:
 # ---------------------------------------------------------------------------
 # Counter elimination along a decoration map.  `fmap` as above; the closed
 # per-vertex rule replaces a counter-k vertex decorated d by the linear
-# combination f^k(d) of zero-counter vertices.  The recursive variant
-# recomputes the same morphism from its universal characterization (peeling
-# the root and regrafting through the symmetric-word extension) and exists
-# as an independent cross-check of the closed rule.
+# combination f^k(d) of zero-counter vertices.
 # ---------------------------------------------------------------------------
 
 def _power_map(fmap: Mapping[str, Mapping]) -> Callable[[int, str], LinComb]:
@@ -234,45 +230,6 @@ def counter_elimination(fmap: Mapping[str, Mapping]
 
     def phi(t: PForest) -> LinComb:
         return expand_blocks(t).map_keys(canonicalize)
-
-    return phi
-
-
-def counter_elimination_recursive(fmap: Mapping[str, Mapping]
-                                  ) -> Callable[[PForest], LinComb]:
-    """Same morphism, computed by structural recursion: split multi-root
-    trees as products, write a one-rooted tree as its root grafted with the
-    symmetric word of its child blocks, and push both through the quotient.
-    Quadratically slower than the closed rule; used to gate it."""
-    from .oudom import Extension
-
-    bullet = cp_bullet_with_map(fmap)
-    ext = Extension(bullet, serialize)
-    fpow = _power_map(fmap)
-    memo: dict[PForest, LinComb] = {}
-
-    def phi(t: PForest) -> LinComb:
-        if t not in memo:
-            memo[t] = _compute(t)
-        return memo[t]
-
-    def _compute(t: PForest) -> LinComb:
-        if t == EMPTY:
-            return unit(EMPTY)
-        assert is_partitioned_tree(t), serialize(t)
-        roots = t[0]
-        if len(roots) > 1:
-            res = unit(EMPTY)
-            for nd in roots:
-                res = bilinear_extend(mul_merge_lc, res,
-                                      phi(canonicalize(((nd,),))))
-            return res
-        (k, d), blocks = roots[0]
-        x = fpow(k, d).map_keys(lambda e: build_root(e, ()))
-        if not blocks:
-            return x
-        args = [phi(canonicalize((b,))) for b in blocks]
-        return ext.apply_flat(x, args)
 
     return phi
 
@@ -349,54 +306,4 @@ def cm_delta_closed(word: Word) -> LinComb:
         u = tuple(word[i] for i in range(k) if mask >> i & 1)
         v = tuple(word[i] for i in range(k) if not mask >> i & 1)
         out.add_term((u, v), m)
-    return out
-
-
-def _word_multisets(total: int, letters) -> list[tuple[Word, ...]]:
-    items: list[Word] = []
-    for l in range(1, total + 1):
-        items.extend(words_of_length(letters, l))
-    items.sort()
-    sizes = [len(w) for w in items]
-    return list(_multisets(items, sizes, total))
-
-
-def _monomial_value(words: tuple[Word, ...]) -> LinComb:
-    out = unit(EMPTY)
-    for w in words:
-        out = bilinear_extend(mul_disjoint_lc, out, cm_x(w))
-    return out
-
-
-def cm_delta_oracle(word: Word, letters) -> LinComb:
-    """Reduced cogenerator-level coproduct computed the long way round.
-
-    Apply the forest coproduct to X_{word}, re-expand each bidegree in the
-    basis of products of X's by an exact linear solve, and keep the terms
-    where both legs are a single X.  Must agree with `cm_delta_closed`.
-    """
-    k = len(word)
-    full = cm_x(word).map_linear(coproduct_hck)
-    out = LinComb()
-    for a in range(1, k):
-        sub = LinComb((key, c) for key, c in full.items()
-                      if nvertices(key[0]) == a)
-        if sub.is_zero():
-            continue
-        pairs = [(m1, m2)
-                 for m1 in _word_multisets(a, letters)
-                 for m2 in _word_multisets(k - a, letters)]
-        columns = [tensor2(_monomial_value(m1), _monomial_value(m2))
-                   for m1, m2 in pairs]
-        rows = set(sub)
-        for col in columns:
-            rows.update(col)
-        row_list = sorted(rows, key=repr)
-        mat = [[col[r] for col in columns] for r in row_list]
-        rhs = [sub[r] for r in row_list]
-        coeffs = solve(mat, rhs)
-        assert coeffs is not None, "coproduct left the span of X-products"
-        for (m1, m2), c in zip(pairs, coeffs):
-            if c != 0 and len(m1) == 1 and len(m2) == 1:
-                out.add_term((m1[0], m2[0]), c)
     return out

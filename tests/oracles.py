@@ -1,0 +1,159 @@
+"""Slow independent implementations that gate the fast ones in `src/`.
+
+Each recomputes a map the package computes in closed form, the long way
+round; the tests compare the two.
+
+* ``counter_elimination_recursive`` gates ``ucp.counter_elimination``;
+* ``cm_delta_oracle`` gates ``ucp.cm_delta_closed``;
+* ``bullet_tvf_shuffles`` gates ``shuffle.bullet_tvf``.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Callable, Mapping
+
+from comprelie.lincomb import LinComb, bilinear_extend, tensor2, unit
+from comprelie.linalg import solve
+from comprelie.oudom import Extension
+from comprelie.ptree import (
+    EMPTY, PForest, _multisets, build_root, canonicalize, is_partitioned_tree,
+    nvertices, serialize,
+)
+from comprelie.shuffle import EndoV, Word, apply_endo, words_of_length
+from comprelie.ucp import (
+    _power_map, cm_x, coproduct_hck, cp_bullet_with_map, mul_disjoint_lc,
+    mul_merge_lc,
+)
+
+
+# ---------------------------------------------------------------------------
+# Counter elimination by structural recursion through the symmetric-word
+# extension.
+# ---------------------------------------------------------------------------
+
+def counter_elimination_recursive(fmap: Mapping[str, Mapping]
+                                  ) -> Callable[[PForest], LinComb]:
+    """`ucp.counter_elimination`, computed by structural recursion: split
+    multi-root trees as products, write a one-rooted tree as its root
+    grafted with the symmetric word of its child blocks, and push both
+    through the quotient.  Quadratically slower than the closed rule; used
+    to gate it."""
+    bullet = cp_bullet_with_map(fmap)
+    ext = Extension(bullet, serialize)
+    fpow = _power_map(fmap)
+    memo: dict[PForest, LinComb] = {}
+
+    def phi(t: PForest) -> LinComb:
+        if t not in memo:
+            memo[t] = _compute(t)
+        return memo[t]
+
+    def _compute(t: PForest) -> LinComb:
+        if t == EMPTY:
+            return unit(EMPTY)
+        assert is_partitioned_tree(t), serialize(t)
+        roots = t[0]
+        if len(roots) > 1:
+            res = unit(EMPTY)
+            for nd in roots:
+                res = bilinear_extend(mul_merge_lc, res,
+                                      phi(canonicalize(((nd,),))))
+            return res
+        (k, d), blocks = roots[0]
+        x = fpow(k, d).map_keys(lambda e: build_root(e, ()))
+        if not blocks:
+            return x
+        args = [phi(canonicalize((b,))) for b in blocks]
+        return ext.apply_flat(x, args)
+
+    return phi
+
+
+# ---------------------------------------------------------------------------
+# The Connes-Moscovici coproduct by an exact re-expansion.
+# ---------------------------------------------------------------------------
+
+def _word_multisets(total: int, letters) -> list[tuple[Word, ...]]:
+    items: list[Word] = []
+    for l in range(1, total + 1):
+        items.extend(words_of_length(letters, l))
+    items.sort()
+    sizes = [len(w) for w in items]
+    return list(_multisets(items, sizes, total))
+
+
+def _monomial_value(words: tuple[Word, ...]) -> LinComb:
+    out = unit(EMPTY)
+    for w in words:
+        out = bilinear_extend(mul_disjoint_lc, out, cm_x(w))
+    return out
+
+
+def cm_delta_oracle(word: Word, letters) -> LinComb:
+    """Reduced cogenerator-level coproduct computed the long way round.
+
+    Apply the forest coproduct to X_{word}, re-expand each bidegree in the
+    basis of products of X's by an exact linear solve, and keep the terms
+    where both legs are a single X.  Must agree with `cm_delta_closed`.
+    """
+    k = len(word)
+    full = cm_x(word).map_linear(coproduct_hck)
+    out = LinComb()
+    for a in range(1, k):
+        sub = LinComb((key, c) for key, c in full.items()
+                      if nvertices(key[0]) == a)
+        if sub.is_zero():
+            continue
+        pairs = [(m1, m2)
+                 for m1 in _word_multisets(a, letters)
+                 for m2 in _word_multisets(k - a, letters)]
+        columns = [tensor2(_monomial_value(m1), _monomial_value(m2))
+                   for m1, m2 in pairs]
+        rows = set(sub)
+        for col in columns:
+            rows.update(col)
+        row_list = sorted(rows, key=repr)
+        mat = [[col[r] for col in columns] for r in row_list]
+        rhs = [sub[r] for r in row_list]
+        coeffs = solve(mat, rhs)
+        assert coeffs is not None, "coproduct left the span of X-products"
+        for (m1, m2), c in zip(pairs, coeffs):
+            if c != 0 and len(m1) == 1 and len(m2) == 1:
+                out.add_term((m1[0], m2[0]), c)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The degree-0 word product, shuffle by shuffle.
+# ---------------------------------------------------------------------------
+
+def shuffle_permutations(k: int, l: int):
+    """(k,l)-shuffles as (positions, m_k): `positions` lists where the
+    first word's letters land (increasing), and m_k is the length of the
+    initial run positions[0..m-1] == 0..m-1."""
+    for pos in combinations(range(k + l), k):
+        m = 0
+        while m < k and pos[m] == m:
+            m += 1
+        yield pos, m
+
+
+def bullet_tvf_shuffles(f: EndoV, u: Word, v: Word) -> LinComb:
+    """`shuffle.bullet_tvf`, computed shuffle-by-shuffle: sum over
+    (k,l)-shuffles sigma and insertion depths i up to the initial fixed run
+    of sigma, applying f to the letter in position i of the shuffled word."""
+    k, l = len(u), len(v)
+    out = LinComb()
+    for pos, m in shuffle_permutations(k, l):
+        word = [None] * (k + l)
+        rest = [p for p in range(k + l) if p not in set(pos)]
+        for i, p in enumerate(pos):
+            word[p] = u[i]
+        for j, p in enumerate(rest):
+            word[p] = v[j]
+        for i in range(m):
+            fx = apply_endo(f, word[i])
+            for x, cx in fx.items():
+                out.add_term(tuple(word[:i]) + (x,) + tuple(word[i + 1:]), cx)
+    return out

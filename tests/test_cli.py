@@ -245,6 +245,22 @@ def test_parse_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_zero_denominator_exits_2(capsys):
+    assert main(["eval", "--algebra", "cp", "1/0*{[d]}", "{[d]}"]) == 2
+    assert main(["check", "--algebra", "degneg1", "--maxdeg", "1",
+                 "--abc", "1/0,1,1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_bad_word_letter_exits_2(capsys):
+    assert main(["eval", "--algebra", "tvf", "a.b", "{[d]}"]) == 2
+    assert main(["cm", "d.e f"]) == 2
+    assert main(["cm", "d..e"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad letter" in captured.err
+
+
 def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["bogus"])

@@ -258,9 +258,3 @@ def test_psi_unitriangular():
             assert nvertices(s) == nvertices(t)
             assert len([b for blk in s for b in blk]) <= \
                 len([b for blk in t for b in blk])
-
-
-def test_diamond_aliases():
-    from comprelie.dual import diamond_cp, diamond_ext, diamond_ucp
-    assert diamond_cp is diamond and diamond_ext is diamond
-    assert diamond_ucp is diamond_down

@@ -1,0 +1,75 @@
+"""Every top-level definition of the package is used somewhere.
+
+A function, class or assigned name defined at the top level of a module
+under `src/comprelie` must appear as a code token (not in a comment or a
+string) on some line of `src/` or `tests/` outside its own definition.
+"""
+
+import ast
+import io
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ALLOWED = {"__version__"}
+
+
+def name_lines(root: Path) -> dict:
+    """name -> set of (path, line) where it occurs as a code token."""
+    seen = defaultdict(set)
+    for path in sorted(root.glob("src/**/*.py")) + sorted(
+            root.glob("tests/**/*.py")):
+        toks = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        for tok in toks:
+            if tok.type == tokenize.NAME:
+                seen[tok.string].add((path, tok.start[0]))
+    return seen
+
+
+def top_level_definitions(path: Path):
+    """(name, first line, last line) of each top-level def, class and
+    assigned name."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        first = min([node.lineno]
+                    + [d.lineno for d in getattr(node, "decorator_list", [])])
+        for name in names:
+            yield name, first, node.end_lineno
+
+
+def unreferenced(root: Path) -> list[str]:
+    seen = name_lines(root)
+    dead = []
+    for path in sorted((root / "src" / "comprelie").glob("*.py")):
+        for name, first, last in top_level_definitions(path):
+            uses = [(p, ln) for p, ln in seen[name]
+                    if p != path or not first <= ln <= last]
+            if not uses and name not in ALLOWED:
+                dead.append(f"{path.stem}.{name}")
+    return dead
+
+
+def test_every_top_level_name_is_referenced():
+    assert unreferenced(ROOT) == []
+
+
+def test_the_guard_sees_a_dead_helper(tmp_path):
+    pkg = tmp_path / "src" / "comprelie"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (pkg / "m.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def dead():\n    return dead()  # dead\n\n\n"
+        "X = used()\n")
+    (tmp_path / "tests" / "test_m.py").write_text("from m import X\n")
+    assert unreferenced(tmp_path) == ["m.dead"]

@@ -81,6 +81,104 @@ def test_one_rooted_are_the_singleton_root_block_trees():
         assert enum_one_rooted(n, D2) == expect
 
 
+# --- enumeration against Euler-transform counts ---------------------------
+#
+# Counted over an alphabet with weights[w] labels of weight w, sharing no code
+# with the enumerators: a node is a label over a block list, a block is a
+# nonempty multiset of nodes and a block list a multiset of blocks; a plain
+# tree is a label over a plain forest, a multiset of plain trees.
+
+def euler_next(a: list, b: list) -> None:
+    """Append b[n], n = len(b), to b = Euler(a): b[n] counts the multisets
+    of total size n drawn from a[k] kinds of items of size k."""
+    n = len(b)
+    c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0)
+         for k in range(n + 1)]
+    q, r = divmod(sum(c[k] * b[n - k] for k in range(1, n + 1)), n)
+    assert r == 0
+    b.append(q)
+
+
+def euler_counts(weights: list, top: int) -> dict:
+    """Sizes 0..top of the four `enum_*` families, by mode name."""
+    def rooted(under: list, n: int) -> int:
+        return sum(weights[w] * under[n - w]
+                   for w in range(1, min(n, len(weights) - 1) + 1))
+
+    nodes, bags, blocks, lists = [0], [1], [0], [1]
+    trees, forests = [0], [1]
+    for n in range(1, top + 1):
+        nodes.append(rooted(lists, n))
+        euler_next(nodes, bags)
+        blocks.append(bags[n])
+        euler_next(blocks, lists)
+        trees.append(rooted(forests, n))
+        euler_next(trees, forests)
+    return {"partitioned": [1] + blocks[1:], "one-rooted": nodes,
+            "plain-trees": [1] + trees[1:], "plain-forests": forests}
+
+
+def generator_weights(labels: int, top: int) -> list:
+    """weights[m] = number of free generators with m vertices: one-rooted
+    trees with no singleton child block at the root, so a label over a
+    multiset of blocks of at least two nodes each."""
+    unit = euler_counts([0, labels], top)
+    wide = [0] + [unit["partitioned"][p] - unit["one-rooted"][p]
+                  for p in range(1, top + 1)]
+    rootless = [1]
+    for _ in range(top):
+        euler_next(wide, rootless)
+    return [0] + [labels * rootless[m - 1] for m in range(1, top + 1)]
+
+
+ENUMS = {"partitioned": enum_partitioned, "one-rooted": enum_one_rooted,
+         "plain-trees": enum_plain_trees, "plain-forests": enum_plain_forests}
+
+
+@pytest.mark.parametrize("labels,top,last", [
+    (D1, 7, (444, 258, 48, 115)),
+    (D2, 6, (5759, 3392, 916, 2058)),
+    (("d", "e", "f"), 5, (6465, 3879, 1485, 3144)),
+])
+def test_enum_counts_match_euler_transform(labels, top, last):
+    expect = euler_counts([0, len(labels)], top)
+    for mode, enum in ENUMS.items():
+        got = [len(enum(n, labels)) for n in range(top + 1)]
+        assert got == expect[mode], mode
+    assert tuple(expect[mode][top] for mode in ENUMS) == last
+
+
+@pytest.mark.parametrize("labels,top", [(D1, 7), (D2, 5)])
+def test_weighted_forest_counts_match_euler_transform(labels, top):
+    from comprelie.dual import theta_alphabet, weighted_forests
+    weights = generator_weights(len(labels), top)
+    gens = theta_alphabet(top, labels)
+    assert [sum(w == m for _, w in gens) for m in range(top + 1)] == weights
+    expect = euler_counts(weights, top)["plain-forests"]
+    assert [len(weighted_forests(n, gens)) for n in range(top + 1)] == expect
+    # the freeness dimension identity: as many partitioned trees as plain
+    # forests over the weighted generator alphabet, size by size
+    assert expect == euler_counts([0, len(labels)], top)["partitioned"]
+    assert expect == [len(enum_partitioned(n, labels)) for n in range(top + 1)]
+
+
+def test_enumeration_order_is_pinned():
+    assert [serialize(t) for t in enum_plain_forests(4, D1)] == [
+        "{[d],[d],[d],[d]}", "{[d([d])],[d],[d]}", "{[d([d([d])])],[d]}",
+        "{[d([d],[d])],[d]}", "{[d([d([d([d])])])]}", "{[d([d([d])],[d])]}",
+        "{[d([d([d],[d])])]}", "{[d([d])],[d([d])]}", "{[d([d],[d],[d])]}"]
+    assert [serialize(t) for t in enum_partitioned(3, D2)] == [
+        "{[d([d([d])])]}", "{[d([d([e])])]}", "{[d([d,d])]}", "{[d([d,e])]}",
+        "{[d([d]),e]}", "{[d([d],[d])]}", "{[d([d],[e])]}", "{[d([e([d])])]}",
+        "{[d([e([e])])]}", "{[d([e,e])]}", "{[d([e]),e]}", "{[d([e],[e])]}",
+        "{[d,d([d])]}", "{[d,d([e])]}", "{[d,d,d]}", "{[d,d,e]}",
+        "{[d,e([d])]}", "{[d,e([e])]}", "{[d,e,e]}", "{[e([d([d])])]}",
+        "{[e([d([e])])]}", "{[e([d,d])]}", "{[e([d,e])]}", "{[e([d],[d])]}",
+        "{[e([d],[e])]}", "{[e([e([d])])]}", "{[e([e([e])])]}",
+        "{[e([e,e])]}", "{[e([e],[e])]}", "{[e,e([d])]}", "{[e,e([e])]}",
+        "{[e,e,e]}"]
+
+
 # --- products ----------------------------------------------------------------
 
 def test_mul_merge():

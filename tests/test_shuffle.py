@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from comprelie.lincomb import LinComb, unit, fmt_lincomb
 from comprelie.shuffle import (
     EPS, Word, fmt_word, parse_word, shuffle, shuffle_lc, deconcat, splits,
-    Varpi, bullet_varpi, varpi_from_endo, bullet_tvf, bullet_tvf_shuffles,
-    shuffle_permutations, varpi_deg_minus1, bullet_deg_minus1,
+    Varpi, bullet_varpi, varpi_from_endo, bullet_tvf,
+    varpi_deg_minus1, bullet_deg_minus1,
     pair_identities_failures, hyperboloid_products,
     eq2_failures, eq3_failures, words_of_length,
 )
+
+from oracles import bullet_tvf_shuffles, shuffle_permutations
 
 XYZ = ("x", "y", "z")
 

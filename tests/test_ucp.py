@@ -18,10 +18,12 @@ from comprelie.ucp import (
     ucp_bullet, cp_bullet, cp_bullet_with_map, hck_bullet,
     mul_merge_lc, mul_disjoint_lc,
     coproduct_ucp, coproduct_cp, coproduct_hck, counit, reduced_coproduct,
-    counter_elimination, counter_elimination_recursive, identity_map,
+    counter_elimination, identity_map,
     delta_perm, kernel_delta_dim,
-    cm_grow, cm_x, cm_delta_closed, cm_delta_oracle,
+    cm_grow, cm_x, cm_delta_closed,
 )
+
+from oracles import cm_delta_oracle, counter_elimination_recursive
 
 P = parse
 
