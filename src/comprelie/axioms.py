@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .lincomb import LinComb, bilinear_extend, fmt_lincomb, unit
+from .lincomb import LinComb, bilinear_extend, fmt_lincomb, tensor, unit
 
 
 @dataclass(frozen=True)
@@ -413,21 +413,13 @@ def tensor_comprelie(a1: AlgebraHandle, a2: AlgebraHandle,
                 for x in a1.basis(i) for y in a2.basis(n - i)]
 
     def mul(p, q) -> LinComb:
-        out = LinComb()
-        for k1, c1 in a1.mul(p[0], q[0]).items():
-            for k2, c2 in a2.mul(p[1], q[1]).items():
-                out.add_term((k1, k2), c1 * c2)
-        return out
+        return tensor(a1.mul(p[0], q[0]), a2.mul(p[1], q[1]))
 
     def prelie(p, q) -> LinComb:
-        out = LinComb()
-        for k1, c1 in a1.prelie(p[0], q[0]).items():
-            for k2, c2 in a2.mul(p[1], q[1]).items():
-                out.add_term((k1, k2), c1 * c2)
+        out = tensor(a1.prelie(p[0], q[0]), a2.mul(p[1], q[1]))
         w = e(q[0])
         if w:
-            for k2, c2 in a2.prelie(p[1], q[1]).items():
-                out.add_term((p[0], k2), w * c2)
+            out.iadd_scaled(w, tensor(unit(p[0]), a2.prelie(p[1], q[1])))
         return out
 
     def key_str(p) -> str:

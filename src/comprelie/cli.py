@@ -19,9 +19,11 @@ around the sign).  Tree keys use the `{[d:k([e],[f])]}` grammar, word keys
 are dot-separated letters with `eps` for the empty word.
 
 Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
-unparseable input, 3 resource bound exceeded.  Degree-like flags above 5
-need --force; the COMPRELIE_MAXDEG environment variable (default 7) is a
-hard ceiling.  Identical invocations produce byte-identical output.
+unparseable input (including negative degree-like flags), 3 resource bound
+exceeded (including input nested too deeply for the recursion limit).
+Degree-like flags above 5 need --force; the COMPRELIE_MAXDEG environment
+variable (default 7) is a hard ceiling.  Identical invocations produce
+byte-identical output.
 """
 
 import argparse
@@ -40,7 +42,7 @@ from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
 from .ptree import (ParseError, enum_one_rooted, enum_partitioned,
                     enum_plain_forests, enum_plain_trees, is_partitioned_tree,
                     parse, serialize)
-from .rigidity import TruncatedBialgebra, build_hopf_iso, build_omega, cofree_obstruction
+from .rigidity import HopfIso, Omega, TruncatedBialgebra, cofree_obstruction
 from .shuffle import fmt_word, parse_word
 from .ucp import cm_delta_closed, cm_x, delta_perm, kernel_delta_dim
 
@@ -57,8 +59,11 @@ class ResourceBound(Exception):
 
 
 def guard(value: int, force: bool, what: str = "degree") -> None:
-    """Refuse degree-like values beyond the soft bound (without --force)
-    or beyond the COMPRELIE_MAXDEG hard ceiling (always)."""
+    """Refuse negative degree-like values (bad input), and values beyond
+    the soft bound (without --force) or beyond the COMPRELIE_MAXDEG hard
+    ceiling (always)."""
+    if value < 0:
+        raise CliError(f"{what} must be nonnegative, got {value}")
     cap = int(os.environ.get("COMPRELIE_MAXDEG", "7"))
     if value > cap:
         raise ResourceBound(
@@ -223,8 +228,8 @@ def cmd_rigidity_iso(args) -> int:
     guard(args.maxdeg, args.force, "--maxdeg")
     alg = get_handle(args.algebra, labels=labels_from(args))
     tb = TruncatedBialgebra(alg, args.maxdeg)
-    om = build_omega(tb)
-    iso = build_hopf_iso(tb, om)
+    om = Omega(tb)
+    iso = HopfIso(tb, om)
     for n in range(1, args.maxdeg + 1):
         print(f"degree {n}")
         print("words: " + " ".join(fmt_word(w) for w in om.words(n)))
@@ -407,6 +412,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceBound as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit",
+              file=sys.stderr)
         return 3
     except (CliError, ParseError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,7 +3,7 @@
 Every algebra element in this package is a ``LinComb``: a finitely supported
 map from basis keys to exact rational coefficients.  Basis keys are opaque,
 hashable, canonical values (nested tuples for trees, tuples of strings for
-words, pairs/triples of keys for tensors).  Zero coefficients are never
+words, tuples of leg keys for tensors).  Zero coefficients are never
 stored, so equality of LinCombs is plain dict equality.
 
 The scalar field is exact: no floats anywhere.  Coefficients are stored as
@@ -11,6 +11,11 @@ they come — int or ``fractions.Fraction`` — which is safe because the two
 compare and hash identically for equal values; combinatorial code then runs
 on fast int arithmetic and Fractions appear only where division does
 (linear algebra, series with 1/n terms).
+
+Multilinear maps are built from three primitives: ``tensor`` expands a
+list of LinCombs into one LinComb over tuples of their keys, and
+``LinComb.map_linear`` and ``bilinear_extend`` apply a basis-level map to
+every key (or pair of keys) and sum the results.
 """
 
 from __future__ import annotations
@@ -117,34 +122,28 @@ def bilinear_extend(op_on_basis: Callable[[Hashable, Hashable], LinComb],
 
 
 # ---------------------------------------------------------------------------
-# Tensors.  A Tensor2 is a LinComb whose keys are pairs (k1,k2); a Tensor3
-# has triple keys.  Nothing structural distinguishes them from LinComb, but
-# the helpers below keep the leg-wise plumbing in one place.
+# Tensors.  A tensor of n legs is a LinComb whose keys are n-tuples of leg
+# keys.  `tensor` is the one multilinear expansion: every other expansion
+# over legs applies a map to each key and sums the results, which is
+# `map_linear` for one leg and `bilinear_extend` for two.
 # ---------------------------------------------------------------------------
 
-def tensor2(a: LinComb, b: LinComb) -> LinComb:
-    """a (x) b as a Tensor2."""
-    out = LinComb()
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            out.add_term((ka, kb), ca * cb)
+def tensor(*factors: LinComb) -> LinComb:
+    """factors_1 (x) ... (x) factors_n, keyed by n-tuples of factor keys;
+    tensor() is unit(()), and any zero factor makes the result zero."""
+    out = unit(())
+    for f in factors:
+        if not f:
+            return LinComb()
+        out = LinComb((ks + (k,), c * cf)
+                      for ks, c in out.items() for k, cf in f.items())
     return out
 
 
 def tensor_apply2(t: LinComb, f: Callable[[Hashable], LinComb],
                   g: Callable[[Hashable], LinComb]) -> LinComb:
-    """Apply basis-to-LinComb maps f,g to the two legs of a Tensor2.
-
-    The result keys are pairs (key-of-f-output, key-of-g-output).
-    """
-    out = LinComb()
-    for (ka, kb), c in t.items():
-        fa = f(ka)
-        gb = g(kb)
-        for k1, c1 in fa.items():
-            for k2, c2 in gb.items():
-                out.add_term((k1, k2), c * c1 * c2)
-    return out
+    """Apply basis-to-LinComb maps f,g to the two legs of a 2-leg tensor."""
+    return t.map_linear(lambda k: tensor(f(k[0]), g(k[1])))
 
 
 def tensor_flatten_left(t: LinComb) -> LinComb:
@@ -164,12 +163,12 @@ def tensor_flatten_right(t: LinComb) -> LinComb:
 
 
 def tensor_swap(t: LinComb) -> LinComb:
-    """Flip the two legs of a Tensor2."""
+    """Flip the two legs of a 2-leg tensor."""
     return t.map_keys(lambda k: (k[1], k[0]))
 
 
 def tensor_swap23(t: LinComb) -> LinComb:
-    """The permutation (23) on a Tensor3: (a,b,c) -> (a,c,b)."""
+    """The permutation (23) on a 3-leg tensor: (a,b,c) -> (a,c,b)."""
     return t.map_keys(lambda k: (k[0], k[2], k[1]))
 
 
@@ -202,5 +201,5 @@ def fmt_lincomb(x: LinComb, key_str: Callable[[Hashable], str]) -> str:
 
 
 def fmt_tensor2(t: LinComb, key_str: Callable[[Hashable], str]) -> str:
-    """Tensor2 format: `c*A (x) B` terms joined by ` + `."""
+    """2-leg tensor format: `c*A (x) B` terms joined by ` + `."""
     return fmt_lincomb(t, lambda k: "%s (x) %s" % (key_str(k[0]), key_str(k[1])))

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .axioms import AlgebraHandle, LawReport
-from .lincomb import LinComb, bilinear_extend, unit
+from .lincomb import LinComb, bilinear_extend, tensor, unit
 
 SymWord = tuple  # sorted tuple of basis keys; () is the symmetric unit
 
@@ -63,14 +63,7 @@ class Extension:
     def word_lc(self, factors: Sequence[LinComb]) -> LinComb:
         """Multilinear expansion of a list of LinCombs into one LinComb of
         symmetric words."""
-        out = unit(())
-        for f in factors:
-            nxt = LinComb()
-            for wk, c1 in out.items():
-                for k, c2 in f.items():
-                    nxt.add_term(self.word(wk + (k,)), c1 * c2)
-            out = nxt
-        return out
+        return tensor(*factors).map_keys(self.word)
 
     def mul_words(self, a: LinComb, b: LinComb) -> LinComb:
         return bilinear_extend(
@@ -129,12 +122,7 @@ class Extension:
     def apply_flat(self, x: LinComb, args: Sequence[LinComb]) -> LinComb:
         """x • (args_1 × … × args_m) for x a LinComb of base keys; the
         result is flattened back to base keys."""
-        w = self.word_lc(args)
-        out = LinComb()
-        for xk, cx in x.items():
-            for wk, cw in w.items():
-                out.iadd_scaled(cx * cw, self.bullet_word(xk, wk))
-        return out
+        return bilinear_extend(self.bullet_word, x, self.word_lc(args))
 
 
 # ---------------------------------------------------------------------------

@@ -612,9 +612,11 @@ class _Enum:
 
     def _rooted(self, m: int, below) -> list[Node]:
         """Canonical nodes of size m: a label of weight w over each block
-        list of size m - w that `below` gives."""
+        list of size m - w that `below` gives, built once per weight."""
+        weights = sorted({w for _, w in self.alphabet if w <= m})
+        lists = {w: below(m - w) for w in weights}
         out = [((0, d), bl) for d, w in self.alphabet if w <= m
-               for bl in below(m - w)]
+               for bl in lists[w]]
         return sorted(out, key=ser_node)
 
     @staticmethod

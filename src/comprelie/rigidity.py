@@ -4,7 +4,7 @@ Pipeline, for a degree-truncated algebra A (bound N):
 
 1. ``primitive_basis``: the degree-n primitives, as the exact kernel of
    the reduced coproduct on the slice.
-2. ``build_omega``: a map from tensor words of primitives into A, defined
+2. ``Omega``: a map from tensor words of primitives into A, defined
    by grafting — omega() = unit, omega(x w) = g(x) • omega(w) — where g is
    a right inverse of f(x) = x•unit.  On the tree algebras f scales a
    homogeneous element by its degree, so g divides by it; otherwise g is
@@ -14,7 +14,7 @@ Pipeline, for a degree-truncated algebra A (bound N):
 3. ``eulerian_psi``: the convolution logarithm of the identity,
    psi = sum (−1)^{m+1}/m · mul^{m−1} ∘ reduced-Δ^{m−1}.  It fixes
    primitives and kills products of augmentation-ideal elements.
-4. ``build_hopf_iso``: varpi = (length-1 component of omega⁻¹ ∘ psi),
+4. ``HopfIso``: varpi = (length-1 component of omega⁻¹ ∘ psi),
    then F(x) = sum_m varpi^{⊗m}(reduced-Δ^{m−1}(x)) — the unique coalgebra
    morphism to the word side whose length-1 component is varpi.  F takes
    the commutative product to the shuffle product, slice by slice, and is
@@ -37,8 +37,8 @@ from typing import Callable, Optional
 
 from .axioms import AlgebraHandle, LawReport
 from .linalg import invert, mat_vec, nullspace, rank, solve
-from .lincomb import LinComb, bilinear_extend, unit
-from .shuffle import Word, deconcat, fmt_word, shuffle_lc
+from .lincomb import LinComb, bilinear_extend, tensor, tensor_apply2, unit
+from .shuffle import Word, deconcat, fmt_word, shuffle
 
 
 class TruncatedBialgebra:
@@ -170,13 +170,7 @@ def primitive_basis(tb: TruncatedBialgebra, n: int) -> list[LinComb]:
             else:  # every reduced coproduct vanished: the whole slice
                 vecs = [[Fraction(int(i == j)) for j in range(len(keys))]
                         for i in range(len(keys))]
-            out = []
-            for v in vecs:
-                p = LinComb()
-                for k, c in zip(keys, v):
-                    p.add_term(k, c)
-                out.append(p)
-            tb._prim[n] = out
+            tb._prim[n] = [LinComb(zip(keys, v)) for v in vecs]
     return tb._prim[n]
 
 
@@ -239,10 +233,7 @@ class Omega:
         if sol is None:
             raise ValueError(
                 f"f is not surjective onto primitives in degree {n}")
-        g = LinComb()
-        for k, c in zip(keys, sol):
-            g.add_term(k, c)
-        return g
+        return LinComb(zip(keys, sol))
 
     def words(self, n: int) -> list[Word]:
         """All letter words of total degree n, in letter order."""
@@ -295,10 +286,8 @@ class Omega:
             m = self.matrix(n)
             mt = [[m[i][j] for i in range(len(m))] for j in range(len(m))]
             inv_t = self._inv_t[n] = invert(mt)
-        out = LinComb()
-        for w, c in zip(self.words(n), mat_vec(inv_t, self.tb.coords(y, n))):
-            out.add_term(w, c)
-        return out
+        return LinComb(zip(self.words(n),
+                           mat_vec(inv_t, self.tb.coords(y, n))))
 
     # -- checks --------------------------------------------------------------
 
@@ -322,20 +311,12 @@ class Omega:
         for n in range(self.tb.N + 1):
             for w in self.words(n):
                 lhs = self.tb.cop(self.apply_word(w))
-                rhs = LinComb()
-                for (w1, w2), c in deconcat(w).items():
-                    for k1, c1 in self.apply_word(w1).items():
-                        for k2, c2 in self.apply_word(w2).items():
-                            rhs.add_term((k1, k2), c * c1 * c2)
+                rhs = tensor_apply2(deconcat(w), self.apply_word,
+                                    self.apply_word)
                 if lhs != rhs:
                     return LawReport("omega-coalgebra", name, self.tb.N,
                                      f"w={fmt_word(w)}")
         return LawReport("omega-coalgebra", name, self.tb.N)
-
-
-def build_omega(tb: TruncatedBialgebra,
-                g: Optional[Callable] = None) -> Omega:
-    return Omega(tb, g)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +363,7 @@ class HopfIso:
                 out = LinComb()
                 for m in range(1, self.tb.deg[k] + 1):
                     for t, c in self.tb.iter_reduced(k, m).items():
-                        acc = unit(())
-                        for leg in t:
-                            vl = self.varpi_k(leg)
-                            nxt = LinComb()
-                            for w, cw in acc.items():
-                                for letter, cl in vl.items():
-                                    nxt.add_term(w + (letter,), cw * cl)
-                            acc = nxt
-                            if not acc:
-                                break
-                        out.iadd_scaled(c, acc)
+                        out.iadd_scaled(c, tensor(*map(self.varpi_k, t)))
             self._F[k] = out
         return out
 
@@ -422,7 +393,8 @@ class HopfIso:
                 for a in self.tb.slices[da]:
                     for b in self.tb.slices[db]:
                         lhs = self.F(self.tb.mul_k(a, b))
-                        rhs = shuffle_lc(self.F_k(a), self.F_k(b))
+                        rhs = bilinear_extend(shuffle, self.F_k(a),
+                                              self.F_k(b))
                         if lhs != rhs:
                             ks = self.tb.alg.key_str
                             return LawReport(
@@ -454,11 +426,7 @@ class HopfIso:
         for n in range(self.tb.N + 1):
             for k in self.tb.slices[n]:
                 lhs = self.F_k(k).map_linear(deconcat)
-                rhs = LinComb()
-                for (a, b), c in self.tb.cop_k(k).items():
-                    for w1, c1 in self.F_k(a).items():
-                        for w2, c2 in self.F_k(b).items():
-                            rhs.add_term((w1, w2), c * c1 * c2)
+                rhs = tensor_apply2(self.tb.cop_k(k), self.F_k, self.F_k)
                 if lhs != rhs:
                     return LawReport("hopf-coalgebra", name, self.tb.N,
                                      f"x={self.tb.alg.key_str(k)}")
@@ -499,11 +467,6 @@ class HopfIso:
         return reports
 
 
-def build_hopf_iso(tb: TruncatedBialgebra,
-                   omega: Optional[Omega] = None) -> HopfIso:
-    return HopfIso(tb, omega)
-
-
 # ---------------------------------------------------------------------------
 # The obstruction on the counter algebra with two labels.
 # ---------------------------------------------------------------------------
@@ -531,7 +494,4 @@ def cofree_obstruction(labels=("d", "e"),
     sol = solve(m, b)
     if sol is None:
         return None
-    x = LinComb()
-    for k, c in zip(keys, sol):
-        x.add_term(k, c)
-    return x
+    return LinComb(zip(keys, sol))

@@ -42,7 +42,7 @@ import re
 from itertools import product
 from typing import Iterator
 
-from .lincomb import LinComb, unit, ZERO
+from .lincomb import LinComb, bilinear_extend, unit, ZERO
 
 Word = tuple  # tuple of letter strings
 EPS: Word = ()
@@ -97,14 +97,6 @@ def shuffle(u: Word, v: Word) -> LinComb:
     return got
 
 
-def shuffle_lc(a: LinComb, b: LinComb) -> LinComb:
-    out = LinComb()
-    for u, cu in a.items():
-        for v, cv in b.items():
-            out.iadd_scaled(cu * cv, shuffle(u, v))
-    return out
-
-
 def deconcat(w: Word) -> LinComb:
     """Deconcatenation coproduct: sum of (prefix, suffix) pairs."""
     out = LinComb()
@@ -146,11 +138,7 @@ class Varpi:
         return fn(u, v) if fn else ZERO
 
     def apply_lc(self, a: LinComb, b: LinComb) -> LinComb:
-        out = LinComb()
-        for u, cu in a.items():
-            for v, cv in b.items():
-                out.iadd_scaled(cu * cv, self.apply(u, v))
-        return out
+        return bilinear_extend(self.apply, a, b)
 
 
 def bullet_varpi(varpi: Varpi, u: Word, v: Word) -> LinComb:

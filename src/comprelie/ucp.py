@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .lincomb import LinComb, unit
+from .lincomb import LinComb, tensor, unit
 from .linalg import sparse_nullity
 from .ptree import (
     EMPTY,
@@ -202,31 +202,11 @@ def counter_elimination(fmap: Mapping[str, Mapping]
 
     def expand_node(nd) -> LinComb:
         (k, d), blocks = nd
-        out = LinComb()
-        for bl, c2 in expand_blocks(blocks).items():
-            for e, c1 in fpow(k, d).items():
-                out.add_term(((0, e), bl), c1 * c2)
-        return out
-
-    def expand_block(block) -> LinComb:
-        out = unit(())
-        for nd in block:
-            nxt = LinComb()
-            for partial, c1 in out.items():
-                for nd2, c2 in expand_node(nd).items():
-                    nxt.add_term(partial + (nd2,), c1 * c2)
-            out = nxt
-        return out
+        return tensor(expand_blocks(blocks), fpow(k, d)).map_keys(
+            lambda p: ((0, p[1]), p[0]))
 
     def expand_blocks(blocks) -> LinComb:
-        out = unit(())
-        for b in blocks:
-            nxt = LinComb()
-            for partial, c1 in out.items():
-                for b2, c2 in expand_block(b).items():
-                    nxt.add_term(partial + (b2,), c1 * c2)
-            out = nxt
-        return out
+        return tensor(*(tensor(*map(expand_node, b)) for b in blocks))
 
     def phi(t: PForest) -> LinComb:
         return expand_blocks(t).map_keys(canonicalize)

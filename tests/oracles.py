@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Mapping
 
-from comprelie.lincomb import LinComb, bilinear_extend, tensor2, unit
+from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.linalg import solve
 from comprelie.oudom import Extension
 from comprelie.ptree import (
@@ -108,7 +108,7 @@ def cm_delta_oracle(word: Word, letters) -> LinComb:
         pairs = [(m1, m2)
                  for m1 in _word_multisets(a, letters)
                  for m2 in _word_multisets(k - a, letters)]
-        columns = [tensor2(_monomial_value(m1), _monomial_value(m2))
+        columns = [tensor(_monomial_value(m1), _monomial_value(m2))
                    for m1, m2 in pairs]
         rows = set(sub)
         for col in columns:

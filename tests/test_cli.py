@@ -261,6 +261,34 @@ def test_bad_word_letter_exits_2(capsys):
     assert "bad letter" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enum", "--n", "-2"],
+    ["kerdelta", "--degree", "-1"],
+    ["check", "--algebra", "cp", "--maxdeg", "-3"],
+    ["rigidity", "iso", "--algebra", "cp", "--maxdeg", "-1"],
+])
+def test_negative_degree_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be nonnegative" in captured.err
+
+
+DEEP_PATH = "{[" + "d([" * 399 + "d" + "])" * 399 + "]}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", DEEP_PATH],
+    ["coprod", "--algebra", "cp", DEEP_PATH],
+])
+def test_deep_input_exits_3(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["bogus"])

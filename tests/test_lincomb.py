@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from comprelie.lincomb import (
-    LinComb, unit, bilinear_extend, tensor2, tensor_apply2, tensor_swap,
+    LinComb, unit, bilinear_extend, tensor, tensor_apply2, tensor_swap,
     fmt_scalar, parse_scalar, fmt_lincomb,
 )
 from comprelie import linalg
@@ -41,11 +41,27 @@ def test_bilinear_extend():
 
 
 def test_tensor_roundtrip():
-    t = tensor2(unit("a") + unit("b"), unit("c"))
+    t = tensor(unit("a") + unit("b"), unit("c"))
     assert t == LinComb([(("a", "c"), 1), (("b", "c"), 1)])
     assert tensor_swap(tensor_swap(t)) == t
     # apply identity on both legs
     assert tensor_apply2(t, unit, unit) == t
+
+
+def test_tensor_arity_and_zero():
+    x = unit("a") + unit("b").scale(2)
+    assert tensor() == unit(())
+    assert tensor(x) == LinComb([(("a",), 1), (("b",), 2)])
+    assert tensor(x, LinComb(), x) == LinComb()
+    assert tensor(LinComb()) == LinComb()
+
+
+def test_tensor_coefficients_multiply():
+    x = unit("a").scale(Fraction(1, 2)) - unit("b")
+    y = unit("c").scale(3)
+    assert tensor(x, y, x) == LinComb([
+        (("a", "c", "a"), Fraction(3, 4)), (("a", "c", "b"), Fraction(-3, 2)),
+        (("b", "c", "a"), Fraction(-3, 2)), (("b", "c", "b"), 3)])
 
 
 def test_fmt():
@@ -66,6 +82,25 @@ def test_addition_commutes(d1, d2):
     x, y = LinComb(d1), LinComb(d2)
     assert x + y == y + x
     assert (x + y) - y == x
+
+
+lincombs = st.dictionaries(st.sampled_from("abc"), scalars, max_size=3) \
+    .map(LinComb)
+
+
+@given(lincombs, lincombs, lincombs)
+def test_tensor_associates_and_applies(a, b, c):
+    flat = tensor(tensor(a, b), c).map_keys(lambda k: k[0] + k[1:])
+    assert tensor(a, b, c) == flat
+
+    def f(k):
+        return unit(k + k) - unit(k).scale(2)
+
+    def g(k):
+        return unit(k.upper()).scale(Fraction(1, 3))
+
+    assert tensor_apply2(tensor(a, b), f, g) == \
+        tensor(a.map_linear(f), b.map_linear(g))
 
 
 # --- linalg ---------------------------------------------------------------

@@ -179,6 +179,21 @@ def test_enumeration_order_is_pinned():
         "{[e,e,e]}"]
 
 
+def test_rooted_builds_each_blocklist_once():
+    # labels of one weight share the block lists below them
+    en = ptree._Enum((("d", 1), ("e", 1)))
+    built = Counter()
+    blocklists = en.blocklists
+
+    def counting(m):
+        built[m] += 1
+        return blocklists(m)
+
+    en.blocklists = counting
+    en.blocks(6)
+    assert built == Counter(range(6))
+
+
 # --- products ----------------------------------------------------------------
 
 def test_mul_merge():

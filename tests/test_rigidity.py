@@ -15,8 +15,6 @@ from comprelie.rigidity import (
     HopfIso,
     Omega,
     TruncatedBialgebra,
-    build_hopf_iso,
-    build_omega,
     cofree_obstruction,
     eulerian_psi,
     primitive_basis,
@@ -153,7 +151,7 @@ def test_omega_on_letters_is_the_primitive():
 
 def test_omega_iso_and_coalgebra():
     for tb in (tb_cp(), tb_hck()):
-        om = build_omega(tb)
+        om = Omega(tb)
         assert all(r.ok for r in om.check_iso()), \
             [r.line() for r in om.check_iso()]
         assert om.check_coalgebra().ok
@@ -177,7 +175,7 @@ def test_omega_general_right_inverse():
         return base.prelie(a, b).scale(2)
 
     tb = TruncatedBialgebra(replace(base, name="cp2f", prelie=doubled), 3)
-    om = build_omega(tb)
+    om = Omega(tb)
     for letter in om.letters:
         n = om.letter_deg[letter]
         assert om._f(om._g[letter]) == om.letter_prim[letter]
@@ -195,26 +193,26 @@ def test_omega_rejects_non_surjective_f():
 
     tb = TruncatedBialgebra(replace(base, name="cp0f", prelie=killed), 2)
     with pytest.raises(ValueError):
-        build_omega(tb)
+        Omega(tb)
 
 
 # --- the Hopf isomorphism --------------------------------------------------------
 
 @pytest.mark.parametrize("make", [tb_cp, tb_hck])
 def test_hopf_iso_all_checks(make):
-    iso = build_hopf_iso(make())
+    iso = HopfIso(make())
     reports = iso.run_checks()
     assert all(r.ok for r in reports), [r.line() for r in reports]
 
 
 def test_hopf_iso_two_labels():
     tb = TruncatedBialgebra(cp_handle(labels=("d", "e")), 3)
-    reports = build_hopf_iso(tb).run_checks()
+    reports = HopfIso(tb).run_checks()
     assert all(r.ok for r in reports), [r.line() for r in reports]
 
 
 def test_hopf_golden_images():
-    iso = build_hopf_iso(tb_hck())
+    iso = HopfIso(tb_hck())
     assert iso.F_k(iso.tb.alg.unit) == unit(())
     assert iso.F_k(TUN) == unit(("v1_0",))
     assert iso.F_k(TDEUX) == unit(("v2_0",)) + unit(("v1_0", "v1_0"))
@@ -225,14 +223,14 @@ def test_hopf_golden_images():
 def test_hopf_iso_deterministic():
     runs = []
     for _ in range(2):
-        iso = build_hopf_iso(tb_cp())
+        iso = HopfIso(tb_cp())
         runs.append({k: iso.F_k(k) for n in range(5)
                      for k in iso.tb.slices[n]})
     assert runs[0] == runs[1]
 
 
 def test_varpi_kills_products_and_unit():
-    iso = build_hopf_iso(tb_cp())
+    iso = HopfIso(tb_cp())
     tb = iso.tb
     assert iso.varpi_k(tb.alg.unit).is_zero()
     for a in tb.slices[1]:

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from comprelie.lincomb import LinComb, unit, fmt_lincomb
+from comprelie.lincomb import LinComb, bilinear_extend, unit, fmt_lincomb
 from comprelie.shuffle import (
-    EPS, Word, fmt_word, parse_word, shuffle, shuffle_lc, deconcat, splits,
+    EPS, Word, fmt_word, parse_word, shuffle, deconcat, splits,
     Varpi, bullet_varpi, varpi_from_endo, bullet_tvf,
     varpi_deg_minus1, bullet_deg_minus1,
     pair_identities_failures, hyperboloid_products,
@@ -57,7 +57,8 @@ def test_shuffle_commutative(u, v):
 @given(words_st, words_st, words_st)
 @settings(max_examples=40, deadline=None)
 def test_shuffle_associative(u, v, w):
-    assert shuffle_lc(shuffle(u, v), unit(w)) == shuffle_lc(unit(u), shuffle(v, w))
+    assert bilinear_extend(shuffle, shuffle(u, v), unit(w)) == \
+        bilinear_extend(shuffle, unit(u), shuffle(v, w))
 
 
 def test_deconcat():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comprelie.lincomb import (
-    LinComb, unit, bilinear_extend, tensor2, tensor_apply2,
+    LinComb, unit, bilinear_extend, tensor, tensor_apply2,
     tensor_flatten_left, tensor_flatten_right, tensor_swap23,
 )
 from comprelie.ptree import (
@@ -232,10 +232,10 @@ def bullet_compat_defect(bullet, mul, cop, a, b):
     lhs = bullet(a, b).map_linear(cop)
     rhs = LinComb()
     for (a1, a2), c in cop(a).items():
-        rhs.iadd_scaled(c, tensor2(unit(a1), bullet(a2, b)))
+        rhs.iadd_scaled(c, tensor(unit(a1), bullet(a2, b)))
         for (b1, b2), c2 in cop(b).items():
             rhs.iadd_scaled(
-                c * c2, tensor2(bullet(a1, b1), unit(mul(a2, b2))))
+                c * c2, tensor(bullet(a1, b1), unit(mul(a2, b2))))
     return lhs - rhs
 
 
