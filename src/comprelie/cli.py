@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .axioms import run_all, selftest_gaps
+from .axioms import all_pass, report_lines, run_all, selftest_gaps
 from .dual import diamond, diamond_down, psi_inverse, psi_map, theta
 from .handles import HANDLE_NAMES, get_handle
 from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
@@ -242,9 +242,9 @@ def cmd_rigidity_iso(args) -> int:
             print(_fmt_row(row))
     reports = iso.run_checks()
     print("checks:")
-    for r in reports:
-        print(r.line())
-    return 0 if all(r.ok for r in reports) else 1
+    for line in report_lines(reports):
+        print(line)
+    return 0 if all_pass(reports) else 1
 
 
 def _fmt_row(row) -> str:
@@ -267,8 +267,8 @@ _CHECK_ORDER = ("ucp", "cp", "hck", "tvf", "degneg1", "dual-cp", "dual-ucp")
 def _check_job(spec) -> list:
     name, labels, alphabet, abc, maxdeg, mode, seed, samples = spec
     alg = handle_for(name, labels, alphabet, abc)
-    return [r.line() for r in
-            run_all(alg, maxdeg, mode=mode, seed=seed, samples=samples)]
+    return report_lines(
+        run_all(alg, maxdeg, mode=mode, seed=seed, samples=samples))
 
 
 def cmd_check(args) -> int:

@@ -47,17 +47,13 @@ from .ucp import (
 
 def with_counters(forest, cap: int) -> list:
     """All ways to set each vertex counter to 0..cap, canonicalized."""
-    def node(nd, it):
-        (k, lab), blocks = nd
-        k2 = k + next(it)
-        return ((k2, lab),
-                tuple(tuple(node(c, it) for c in b) for b in blocks))
+    def raw(blocks, it):
+        return tuple(tuple(((k + next(it), lab), raw(kids, it))
+                           for (k, lab), kids in b) for b in blocks)
 
     out = set()
     for combo in itertools.product(range(cap + 1), repeat=nvertices(forest)):
-        it = iter(combo)
-        out.add(canonicalize(
-            tuple(tuple(node(nd, it) for nd in b) for b in forest)))
+        out.add(canonicalize(raw(forest, iter(combo))))
     return sorted(out, key=serialize)
 
 

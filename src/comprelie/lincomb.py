@@ -146,32 +146,6 @@ def tensor_apply2(t: LinComb, f: Callable[[Hashable], LinComb],
     return t.map_linear(lambda k: tensor(f(k[0]), g(k[1])))
 
 
-def tensor_flatten_left(t: LinComb) -> LinComb:
-    """Reassociate ((a,b),c) keys to (a,b,c) triples."""
-    out = LinComb()
-    for ((ka, kb), kc), c in t.items():
-        out.add_term((ka, kb, kc), c)
-    return out
-
-
-def tensor_flatten_right(t: LinComb) -> LinComb:
-    """Reassociate (a,(b,c)) keys to (a,b,c) triples."""
-    out = LinComb()
-    for (ka, (kb, kc)), c in t.items():
-        out.add_term((ka, kb, kc), c)
-    return out
-
-
-def tensor_swap(t: LinComb) -> LinComb:
-    """Flip the two legs of a 2-leg tensor."""
-    return t.map_keys(lambda k: (k[1], k[0]))
-
-
-def tensor_swap23(t: LinComb) -> LinComb:
-    """The permutation (23) on a 3-leg tensor: (a,b,c) -> (a,c,b)."""
-    return t.map_keys(lambda k: (k[0], k[2], k[1]))
-
-
 # ---------------------------------------------------------------------------
 # Text formats.  Scalars print as `p` or `p/q` with q > 0; a LinComb prints
 # as `c1*B1 + c2*B2` with terms ordered by the serialized basis string, and

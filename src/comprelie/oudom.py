@@ -155,28 +155,23 @@ def coproduct_rule_defect(ext: Extension, mul: Callable, cop: Callable,
     lhs = ext.bullet_word(a, ext.word(bs)).map_linear(cop)
     rhs = LinComb()
     da = cop(a)
+
+    # The inside factors expand into keys (word of b' legs, product of b''
+    # legs); `wo` is the word of the outside factors of the current mask.
+    def grow(w, b):
+        return mul(w[1], b[1]).map_keys(lambda r: (w[0] + (b[0],), r))
+
+    def term(w, a12):
+        core = ext.bullet_word(a12[1], wo).map_linear(lambda k: mul(w[1], k))
+        return tensor(ext.bullet_word(a12[0], ext.word(w[0])), core)
+
     for mask in range(1 << n):
-        inside = [i for i in range(n) if mask >> i & 1]
         wo = ext.word([bs[i] for i in range(n) if not mask >> i & 1])
-        # expand the coproducts of the inside factors:
-        # keys (word-of-first-legs, product-of-second-legs)
         acc = unit(((), unit_key))
-        for i in inside:
-            nxt = LinComb()
-            dbi = cop(bs[i])
-            for (wl, rk), c in acc.items():
-                for (b1, b2), c2 in dbi.items():
-                    for rk2, c3 in mul(rk, b2).items():
-                        nxt.add_term((wl + (b1,), rk2), c * c2 * c3)
-            acc = nxt
-        for (wl, rk), c in acc.items():
-            for (a1, a2), c2 in da.items():
-                left = ext.bullet_word(a1, ext.word(wl))
-                core = ext.bullet_word(a2, wo)
-                for lk, c3 in left.items():
-                    for ck, c4 in core.items():
-                        for rk2, c5 in mul(rk, ck).items():
-                            rhs.add_term((lk, rk2), c * c2 * c3 * c4 * c5)
+        for i in range(n):
+            if mask >> i & 1:
+                acc = bilinear_extend(grow, acc, cop(bs[i]))
+        rhs.iadd_scaled(1, bilinear_extend(term, acc, da))
     return lhs - rhs
 
 

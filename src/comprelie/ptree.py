@@ -8,6 +8,10 @@ Data model (immutable nested tuples, usable directly as LinComb keys):
 * ``Block = tuple[Node, ...]`` — a nonempty group of sibling vertices;
 * ``PForest = Blocks = tuple[Block, ...]`` — the top-level (root) blocks.
 
+A forest and the children of a vertex are the same ``Blocks`` type, so
+every walk below is one recursion on a block tuple whose first call is the
+forest itself.
+
 A *partitioned tree* is a PForest with at most one root block (the empty
 forest ``EMPTY`` counts).  Vertices in one block are required to be siblings
 — all roots, or all children of the same vertex — which the shape enforces
@@ -205,30 +209,24 @@ def _canon_blocks(blocks) -> PForest:
 
 
 def nvertices(forest: PForest) -> int:
-    def cnt(nd: Node) -> int:
-        return 1 + sum(cnt(n) for b in nd[1] for n in b)
-    return sum(cnt(n) for b in forest for n in b)
+    return sum(1 + nvertices(nd[1]) for b in forest for nd in b)
 
 
 def counter_total(forest: PForest) -> int:
-    def tot(nd: Node) -> int:
-        return nd[0][0] + sum(tot(n) for b in nd[1] for n in b)
-    return sum(tot(n) for b in forest for n in b)
+    return sum(nd[0][0] + counter_total(nd[1]) for b in forest for nd in b)
 
 
 def vertices(forest: PForest) -> list[tuple[VertexRef, Node]]:
     """All (ref, node) pairs in depth-first order."""
     out: list[tuple[VertexRef, Node]] = []
 
-    def walk(ref: VertexRef, nd: Node):
-        out.append((ref, nd))
-        for bi, b in enumerate(nd[1]):
-            for ni, ch in enumerate(b):
-                walk(ref + ((bi, ni),), ch)
+    def walk(prefix: VertexRef, blocks):
+        for bi, b in enumerate(blocks):
+            for ni, nd in enumerate(b):
+                out.append((prefix + ((bi, ni),), nd))
+                walk(out[-1][0], nd[1])
 
-    for bi, b in enumerate(forest):
-        for ni, nd in enumerate(b):
-            walk(((bi, ni),), nd)
+    walk((), forest)
     return out
 
 
@@ -239,9 +237,7 @@ def is_partitioned_tree(forest: PForest) -> bool:
 
 def is_plain(forest: PForest) -> bool:
     """Every block (at all levels) is a singleton."""
-    def ok(nd: Node) -> bool:
-        return all(len(b) == 1 and ok(b[0]) for b in nd[1])
-    return all(len(b) == 1 and ok(b[0]) for b in forest)
+    return all(len(b) == 1 and is_plain(b[0][1]) for b in forest)
 
 
 def is_one_rooted(forest: PForest) -> bool:
@@ -254,19 +250,17 @@ def is_one_rooted(forest: PForest) -> bool:
 # ---------------------------------------------------------------------------
 
 def drop_counters(forest: PForest) -> PForest:
-    def do_node(nd: Node) -> Node:
-        dec, blocks = nd
-        return ((0, dec[1]), tuple(tuple(do_node(n) for n in b)
-                                   for b in blocks))
-    return canonicalize(tuple(tuple(do_node(n) for n in b) for b in forest))
+    def raw(blocks):
+        return tuple(tuple(((0, d), raw(kids)) for (_, d), kids in b)
+                     for b in blocks)
+    return canonicalize(raw(forest))
 
 
 def forget_blocks(forest: PForest) -> PForest:
     """Split every block into singletons (partitioned -> plain forest)."""
-    def do_node(nd: Node) -> Node:
-        dec, blocks = nd
-        return (dec, tuple((do_node(n),) for b in blocks for n in b))
-    return canonicalize(tuple((do_node(n),) for b in forest for n in b))
+    def raw(blocks):
+        return tuple(((dec, raw(kids)),) for b in blocks for dec, kids in b)
+    return canonicalize(raw(forest))
 
 
 def mul_merge(a: PForest, b: PForest) -> PForest:
@@ -302,21 +296,13 @@ def build_root(label: str, trees: tuple, counter: int = 0) -> PForest:
 # counter would go negative — the Zero sentinel absorbed by LinComb).
 # ---------------------------------------------------------------------------
 
-def _edit_at(forest: PForest, ref: VertexRef, fn) -> PForest:
-    """Rebuild `forest` with fn applied to the node at `ref` (raw, no sort)."""
-    def do_node(nd: Node, path: VertexRef) -> Node:
-        if not path:
-            return fn(nd)
-        (bi, ni), rest = path[0], path[1:]
-        dec, blocks = nd
-        blk = blocks[bi]
-        new_blk = blk[:ni] + (do_node(blk[ni], rest),) + blk[ni + 1:]
-        return (dec, blocks[:bi] + (new_blk,) + blocks[bi + 1:])
-
+def _edit_at(blocks, ref: VertexRef, fn) -> PForest:
+    """Rebuild `blocks` with fn applied to the node at `ref` (raw, no sort)."""
     (bi, ni), rest = ref[0], ref[1:]
-    blk = forest[bi]
-    new_blk = blk[:ni] + (do_node(blk[ni], rest),) + blk[ni + 1:]
-    return forest[:bi] + (new_blk,) + forest[bi + 1:]
+    blk = blocks[bi]
+    nd = blk[ni]
+    new = (nd[0], _edit_at(nd[1], rest, fn)) if rest else fn(nd)
+    return blocks[:bi] + (blk[:ni] + (new,) + blk[ni + 1:],) + blocks[bi + 1:]
 
 
 class _Negative(Exception):
@@ -400,38 +386,25 @@ def split_ideal(forest: PForest, ideal: frozenset, bump: bool = True
     """
     pruned: list[Node] = []
 
-    def do_node(ref: VertexRef, nd: Node) -> Node:
-        (k, d), blocks = nd
-        iota = 0
-        new_blocks = []
+    def cut(ref: VertexRef, blocks) -> PForest:
+        out = []
         for bi, block in enumerate(blocks):
             kept = []
-            for ni, ch in enumerate(block):
-                r2 = ref + ((bi, ni),)
-                if r2 in ideal:
-                    pruned.append(ch)
-                else:
-                    kept.append(do_node(r2, ch))
+            for ni, nd in enumerate(block):
+                r = ref + ((bi, ni),)
+                if r in ideal:
+                    pruned.append(nd)
+                    continue
+                (k, d), kids = nd
+                sub = cut(r, kids)
+                if bump:
+                    k += len(kids) - len(sub)
+                kept.append(((k, d), sub))
             if kept:
-                new_blocks.append(tuple(kept))
-            else:
-                iota += 1
-        if bump:
-            k += iota
-        return ((k, d), tuple(new_blocks))
+                out.append(tuple(kept))
+        return tuple(out)
 
-    top = []
-    for bi, block in enumerate(forest):
-        kept = []
-        for ni, ch in enumerate(block):
-            r = ((bi, ni),)
-            if r in ideal:
-                pruned.append(ch)
-            else:
-                kept.append(do_node(r, ch))
-        if kept:
-            top.append(tuple(kept))
-    return canonicalize(tuple(top)), tuple(pruned)
+    return canonicalize(cut((), forest)), tuple(pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +418,22 @@ def restrict(forest: PForest, keep: frozenset) -> PForest:
     root block per surviving part of a block)."""
     floated: list[Block] = []
 
-    def do_node(ref: VertexRef, nd: Node) -> Optional[Node]:
-        dec, blocks = nd
-        mine = ref in keep
-        new_blocks = []
+    def kept(ref: VertexRef, blocks) -> PForest:
+        out = []
         for bi, block in enumerate(blocks):
-            members = [do_node(ref + ((bi, ni),), ch)
-                       for ni, ch in enumerate(block)]
-            members = [m for m in members if m is not None]
-            if members:
-                if mine:
-                    new_blocks.append(tuple(members))
+            members = []
+            for ni, (dec, kids) in enumerate(block):
+                r = ref + ((bi, ni),)
+                sub = kept(r, kids)
+                if r in keep:
+                    members.append((dec, sub))
                 else:
-                    floated.append(tuple(members))
-        return (dec, tuple(new_blocks)) if mine else None
+                    floated.extend(sub)
+            if members:
+                out.append(tuple(members))
+        return tuple(out)
 
-    top = []
-    for bi, block in enumerate(forest):
-        members = [do_node(((bi, ni),), ch) for ni, ch in enumerate(block)]
-        members = [m for m in members if m is not None]
-        if members:
-            top.append(tuple(members))
-    return canonicalize(tuple(top) + tuple(floated))
+    return canonicalize(kept((), forest) + tuple(floated))
 
 
 def varsigma(tree: PForest) -> int:

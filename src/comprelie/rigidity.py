@@ -112,11 +112,8 @@ class TruncatedBialgebra:
         key = (k, m)
         out = self._iter.get(key)
         if out is None:
-            out = LinComb()
-            for t, c in self.iter_reduced(k, m - 1).items():
-                for (a, b), c2 in self.reduced_k(t[-1]).items():
-                    out.add_term(t[:-1] + (a, b), c * c2)
-            self._iter[key] = out
+            out = self._iter[key] = self.iter_reduced(k, m - 1).map_linear(
+                lambda t: self.reduced_k(t[-1]).map_keys(lambda p: t[:-1] + p))
         return out
 
     # -- coordinates ---------------------------------------------------------

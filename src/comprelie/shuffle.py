@@ -26,10 +26,12 @@ vanishes on components k (x) l with k+l+N != 1, the first identity only
 needs checking in total degree k+l+n = 1-N and the second in total degree
 k+l+n = 1-2N.
 
-Two families are implemented concretely:
+``bullet_varpi`` is the one implementation of that product.  Two families
+are instantiated from it, each by building its varpi:
 
-* degree 0 — one endomorphism f of V; the product inserts f at one letter
-  of the left word and shuffles the rest of it into the right word;
+* degree 0 — one endomorphism f of V (the (1,0) component); the product
+  inserts f at one letter of the left word and shuffles the rest of it
+  into the right word;
 * degree -1 — a preLie product ``*`` on V (the (1,1) component) and an
   antisymmetric bracket (the (2,0) component) subject to three mixed
   identities; the right action of the empty word is then a sliding
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from typing import Iterator
 
 from .lincomb import LinComb, bilinear_extend, unit, ZERO
 
@@ -105,16 +106,6 @@ def deconcat(w: Word) -> LinComb:
     return out
 
 
-def splits(w: Word, parts: int) -> Iterator[tuple]:
-    """All ways to cut w into `parts` consecutive (possibly empty) pieces."""
-    if parts == 1:
-        yield (w,)
-        return
-    for i in range(len(w) + 1):
-        for rest in splits(w[i:], parts - 1):
-            yield (w[:i],) + rest
-
-
 # ---------------------------------------------------------------------------
 # varpi maps and the induced preLie products.
 # ---------------------------------------------------------------------------
@@ -142,17 +133,23 @@ class Varpi:
 
 
 def bullet_varpi(varpi: Varpi, u: Word, v: Word) -> LinComb:
-    """The preLie product induced by varpi (prefix, letter, shuffled tails)."""
+    """The preLie product induced by varpi (prefix, letter, shuffled tails).
+
+    Only the listed components can be nonzero, so for each (k, l) the
+    middle piece u2 runs over the k consecutive letters starting at each
+    position i of u, against the first l letters of v."""
     out = LinComb()
-    for u1, u2, u3 in splits(u, 3):
-        for v1, v2 in splits(v, 2):
-            mid = varpi.apply(u2, v1)
+    for (k, l), fn in varpi.components.items():
+        if l > len(v):
+            continue
+        for i in range(len(u) - k + 1):
+            mid = fn(u[i:i + k], v[:l])
             if not mid:
                 continue
-            sh = shuffle(u3, v2)
+            sh = shuffle(u[i + k:], v[l:])
             for x, cx in mid.items():
                 for w, cw in sh.items():
-                    out.add_term(u1 + (x,) + w, cx * cw)
+                    out.add_term(u[:i] + (x,) + w, cx * cw)
     return out
 
 
@@ -230,16 +227,7 @@ def varpi_from_endo(f: EndoV) -> Varpi:
 def bullet_tvf(f: EndoV, u: Word, v: Word) -> LinComb:
     """Degree-0 preLie product: insert f at one letter of u, shuffle the
     rest of u into v (the whole of v goes after the marked letter)."""
-    out = LinComb()
-    for i in range(len(u)):
-        fx = apply_endo(f, u[i])
-        if not fx:
-            continue
-        sh = shuffle(u[i + 1:], v)
-        for x, cx in fx.items():
-            for w, cw in sh.items():
-                out.add_term(u[:i] + (x,) + w, cx * cw)
-    return out
+    return bullet_varpi(varpi_from_endo(f), u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -262,29 +250,11 @@ def varpi_deg_minus1(star: PairMap, bracket: PairMap) -> Varpi:
 
 def bullet_deg_minus1(star: PairMap, bracket: PairMap,
                       u: Word, v: Word) -> LinComb:
-    """Degree -1 preLie product, written out directly: a star of one letter
-    of u against the first letter of v (shuffling the tails), plus a
-    bracket of two adjacent letters of u (shuffling what follows into all
-    of v).  With v empty only the bracket sum survives."""
-    out = LinComb()
-    if v:
-        for i in range(len(u)):
-            sxy = apply_pair(star, u[i], v[0])
-            if not sxy:
-                continue
-            sh = shuffle(u[i + 1:], v[1:])
-            for x, cx in sxy.items():
-                for w, cw in sh.items():
-                    out.add_term(u[:i] + (x,) + w, cx * cw)
-    for i in range(len(u) - 1):
-        bxy = apply_pair(bracket, u[i], u[i + 1])
-        if not bxy:
-            continue
-        sh = shuffle(u[i + 2:], v)
-        for x, cx in bxy.items():
-            for w, cw in sh.items():
-                out.add_term(u[:i] + (x,) + w, cx * cw)
-    return out
+    """Degree -1 preLie product: a star of one letter of u against the
+    first letter of v (shuffling the tails), plus a bracket of two adjacent
+    letters of u (shuffling what follows into all of v).  With v empty only
+    the bracket sum survives."""
+    return bullet_varpi(varpi_deg_minus1(star, bracket), u, v)
 
 
 def pair_identities_failures(star: PairMap, bracket: PairMap, letters):

@@ -5,13 +5,18 @@ round; the tests compare the two.
 
 * ``counter_elimination_recursive`` gates ``ucp.counter_elimination``;
 * ``cm_delta_oracle`` gates ``ucp.cm_delta_closed``;
-* ``bullet_tvf_shuffles`` gates ``shuffle.bullet_tvf``.
+* ``bullet_tvf_shuffles`` gates ``shuffle.bullet_tvf``;
+* ``bullet_varpi`` (over all ``splits``) gates ``shuffle.bullet_varpi``
+  and the two products built on it.
+
+The tensor-leg helpers at the end reassociate and permute tensor keys for
+the coassociativity and cocommutativity tests.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.linalg import solve
@@ -20,7 +25,9 @@ from comprelie.ptree import (
     EMPTY, PForest, _multisets, build_root, canonicalize, is_partitioned_tree,
     nvertices, serialize,
 )
-from comprelie.shuffle import EndoV, Word, apply_endo, words_of_length
+from comprelie.shuffle import (
+    EndoV, Varpi, Word, apply_endo, shuffle, words_of_length,
+)
 from comprelie.ucp import (
     _power_map, cm_x, coproduct_hck, cp_bullet_with_map, mul_disjoint_lc,
     mul_merge_lc,
@@ -157,3 +164,59 @@ def bullet_tvf_shuffles(f: EndoV, u: Word, v: Word) -> LinComb:
             for x, cx in fx.items():
                 out.add_term(tuple(word[:i]) + (x,) + tuple(word[i + 1:]), cx)
     return out
+
+
+def splits(w: Word, parts: int) -> Iterator[tuple]:
+    """All ways to cut w into `parts` consecutive (possibly empty) pieces."""
+    if parts == 1:
+        yield (w,)
+        return
+    for i in range(len(w) + 1):
+        for rest in splits(w[i:], parts - 1):
+            yield (w[:i],) + rest
+
+
+def bullet_varpi(varpi: Varpi, u: Word, v: Word) -> LinComb:
+    """`shuffle.bullet_varpi`, summed over every deconcatenation u = u1u2u3,
+    v = v1v2, whether or not varpi has a component of that shape."""
+    out = LinComb()
+    for u1, u2, u3 in splits(u, 3):
+        for v1, v2 in splits(v, 2):
+            mid = varpi.apply(u2, v1)
+            if not mid:
+                continue
+            sh = shuffle(u3, v2)
+            for x, cx in mid.items():
+                for w, cw in sh.items():
+                    out.add_term(u1 + (x,) + w, cx * cw)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Tensor-leg helpers.
+# ---------------------------------------------------------------------------
+
+def tensor_flatten_left(t: LinComb) -> LinComb:
+    """Reassociate ((a,b),c) keys to (a,b,c) triples."""
+    out = LinComb()
+    for ((ka, kb), kc), c in t.items():
+        out.add_term((ka, kb, kc), c)
+    return out
+
+
+def tensor_flatten_right(t: LinComb) -> LinComb:
+    """Reassociate (a,(b,c)) keys to (a,b,c) triples."""
+    out = LinComb()
+    for (ka, (kb, kc)), c in t.items():
+        out.add_term((ka, kb, kc), c)
+    return out
+
+
+def tensor_swap(t: LinComb) -> LinComb:
+    """Flip the two legs of a 2-leg tensor."""
+    return t.map_keys(lambda k: (k[1], k[0]))
+
+
+def tensor_swap23(t: LinComb) -> LinComb:
+    """The permutation (23) on a 3-leg tensor: (a,b,c) -> (a,c,b)."""
+    return t.map_keys(lambda k: (k[0], k[2], k[1]))

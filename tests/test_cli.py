@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,9 @@ from comprelie.cli import main, parse_lincomb
 from comprelie.lincomb import LinComb, fmt_lincomb, unit
 from comprelie.ptree import parse, serialize
 from comprelie.shuffle import parse_word
+
+# Child processes import the package from here, whatever the PYTHONPATH.
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -305,8 +309,8 @@ def test_cm_rejects_empty_word(capsys):
 def test_identical_invocations_identical_bytes():
     cmd = [sys.executable, "-m", "comprelie.cli", "rigidity", "iso",
            "--algebra", "cp", "--maxdeg", "3"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, cwd=SRC)
+    b = subprocess.run(cmd, capture_output=True, text=True, cwd=SRC)
     assert a.returncode == 0
     assert a.stdout == b.stdout
 
@@ -314,6 +318,7 @@ def test_identical_invocations_identical_bytes():
 def test_module_entry_point():
     r = subprocess.run([sys.executable, "-m", "comprelie.cli", "eval",
                         "--algebra", "cp", "--op", "prelie",
-                        "{[d]}", "{[e]}"], capture_output=True, text=True)
+                        "{[d]}", "{[e]}"], capture_output=True, text=True,
+                       cwd=SRC)
     assert r.returncode == 0
     assert r.stdout == "1*{[d([e])]}\n"

@@ -3,8 +3,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from comprelie.lincomb import (
-    LinComb, unit, bilinear_extend, tensor_apply2, tensor_flatten_left,
-    tensor_swap23,
+    LinComb, unit, bilinear_extend, tensor_apply2,
 )
 from comprelie.linalg import rank
 from comprelie.ptree import (
@@ -19,6 +18,8 @@ from comprelie.dual import (
     theta, theta_alphabet, generator_label, weighted_trees, weighted_forests,
     psi_map, psi_inverse,
 )
+
+from oracles import tensor_flatten_left, tensor_swap23
 
 P = parse
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comprelie import ptree
+from comprelie.handles import with_counters
 from comprelie.ptree import (
     EMPTY, NEW_BLOCK, parse, serialize, canonicalize, nvertices, vertices,
     graft_at, shift_at, split_ideal, ideals, restrict, varsigma,
     coarsenings, coarsens_to, admissible_partitions, contract,
     mul_merge, mul_disjoint, forget_blocks, drop_counters, build_root,
-    is_partitioned_tree, is_plain, is_one_rooted,
+    is_partitioned_tree, is_plain, is_one_rooted, counter_total,
     enum_partitioned, enum_plain_trees, enum_plain_forests, enum_one_rooted,
     set_partitions, ParseError,
 )
@@ -377,3 +378,44 @@ def test_contract_golden():
     out = sorted(serialize(contract(h31, ap)) for ap in admissible_partitions(h31))
     assert "{[<{[d([d,d])]}>]}" in out
     assert "{[%s([%s],[%s])]}" % (a, a, a) in out
+
+
+# --- every walk on every small tree -------------------------------------------
+
+def _walk_cases():
+    for n in range(6):
+        for t in enum_partitioned(n, D2):
+            yield t
+            if n <= 4:
+                yield from (c for c in with_counters(t, 1) if c != t)
+
+
+def test_walks_agree_on_all_small_trees():
+    """The cut, the restriction, the counters and the ref walks agree with
+    each other on every tree with up to 5 vertices and every ideal."""
+    cases = 0
+    for t in _walk_cases():
+        verts = vertices(t)
+        assert len(verts) == nvertices(t)
+        refs = frozenset(r for r, _ in verts)
+        for r in refs:
+            assert canonicalize(ptree._edit_at(t, r, lambda nd: nd)) == t
+        counter_of = {r: nd[0][0] for r, nd in verts}
+        for ideal in ideals(t):
+            cases += 1
+            trunk, pruned = split_ideal(t, ideal, bump=False)
+            assert trunk == restrict(t, refs - ideal)
+            assert canonicalize((pruned,)) == mul_merge(restrict(t, ideal),
+                                                        EMPTY)
+            assert nvertices(trunk) == len(refs - ideal)
+            assert sum(nvertices(((nd,),)) for nd in pruned) == len(ideal)
+            vanished = sum(
+                1 for r, nd in verts if r not in ideal
+                for bi, b in enumerate(nd[1])
+                if all(r + ((bi, ni),) in ideal for ni in range(len(b))))
+            bumped, pruned2 = split_ideal(t, ideal)
+            assert pruned2 == pruned
+            assert counter_total(bumped) == (
+                counter_total(t) - sum(counter_of[r] for r in ideal)
+                + vanished)
+    assert cases == 31963

@@ -4,14 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from comprelie.lincomb import LinComb, bilinear_extend, unit, fmt_lincomb
 from comprelie.shuffle import (
-    EPS, Word, fmt_word, parse_word, shuffle, deconcat, splits,
-    Varpi, bullet_varpi, varpi_from_endo, bullet_tvf,
+    EPS, Word, fmt_word, parse_word, shuffle, deconcat,
+    Varpi, varpi_from_endo, bullet_tvf,
     varpi_deg_minus1, bullet_deg_minus1,
     pair_identities_failures, hyperboloid_products,
     eq2_failures, eq3_failures, words_of_length,
 )
 
-from oracles import bullet_tvf_shuffles, shuffle_permutations
+from oracles import (
+    bullet_tvf_shuffles, bullet_varpi, shuffle_permutations, splits,
+)
 
 XYZ = ("x", "y", "z")
 

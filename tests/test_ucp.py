@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from comprelie.lincomb import (
     LinComb, unit, bilinear_extend, tensor, tensor_apply2,
-    tensor_flatten_left, tensor_flatten_right, tensor_swap23,
 )
 from comprelie.ptree import (
     EMPTY, parse, serialize, drop_counters, forget_blocks, mul_merge,
@@ -23,7 +22,10 @@ from comprelie.ucp import (
     cm_grow, cm_x, cm_delta_closed,
 )
 
-from oracles import cm_delta_oracle, counter_elimination_recursive
+from oracles import (
+    cm_delta_oracle, counter_elimination_recursive, tensor_flatten_left,
+    tensor_flatten_right, tensor_swap23,
+)
 
 P = parse
 
