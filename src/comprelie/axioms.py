@@ -14,10 +14,13 @@ bialgebra product and satisfying, in Sweedler notation,
                     + prelie(a', b') (x) a''.b''
 
 Every structure is packaged as an :class:`AlgebraHandle`; the checks sweep
-basis tuples within a total-degree budget (or random small combinations in
-sampled mode) and report the first counterexample.  All arithmetic is
-exact; a law either holds on the swept range or the witness pins down the
-failure.
+basis tuples within a total-degree budget (``basis_tuples``, or random
+small combinations in sampled mode) and report the first counterexample.
+Every law check in the package, here and in ``oudom`` and ``rigidity``, is
+a lazy stream of witness strings over its cases, and ``first_witness``
+turns it into a :class:`LawReport` by drawing at most one.  All arithmetic
+is exact; a law either holds on the swept range or the witness pins down
+the failure.
 
 The module also provides the tensor-product construction: for a linear
 functional eps on the first factor with eps(prelie(a, b)) = eps(prelie(b,
@@ -37,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .lincomb import LinComb, bilinear_extend, fmt_lincomb, tensor, unit
 
@@ -78,6 +81,13 @@ class LawReport:
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL " + self.witness
         return f"{self.law} {self.algebra} {self.maxdeg} {verdict}"
+
+
+def first_witness(law: str, algebra: str, maxdeg: int,
+                  witnesses: Iterable[str]) -> LawReport:
+    """The report of one law: the first of a lazy stream of witnesses, or
+    a pass when the stream is empty.  Nothing after the first is drawn."""
+    return LawReport(law, algebra, maxdeg, next(iter(witnesses), None))
 
 
 def report_lines(reports) -> list[str]:
@@ -241,13 +251,25 @@ def _basis_slices(alg: AlgebraHandle, maxdeg: int) -> dict[int, list]:
     return {n: list(alg.basis(n)) for n in range(maxdeg + 1)}
 
 
-def _exhaustive_args(slices: dict[int, list], arity: int, maxdeg: int):
-    degs_range = range(maxdeg + 1)
-    for degs in itertools.product(degs_range, repeat=arity):
-        if sum(degs) > maxdeg:
-            continue
-        for combo in itertools.product(*(slices[d] for d in degs)):
-            yield combo
+def basis_tuples(slices: dict[int, list], arity: int, maxdeg: int):
+    """Tuples of `arity` basis keys of total degree <= maxdeg, by degree
+    tuple (lexicographic), then by position in the slices."""
+    for degs in itertools.product(range(maxdeg + 1), repeat=arity):
+        if sum(degs) <= maxdeg:
+            yield from itertools.product(*(slices[d] for d in degs))
+
+
+def basis_witnesses(alg: AlgebraHandle, slices: dict[int, list], arity: int,
+                    maxdeg: int, fails: Callable):
+    """`x=… y=…`, lazily, for each of the basis_tuples on which
+    fails(*keys) holds."""
+    for keys in basis_tuples(slices, arity, maxdeg):
+        if fails(*keys):
+            yield _show(keys, alg.key_str)
+
+
+def _show(args, fmt: Callable) -> str:
+    return " ".join(f"{n}={fmt(a)}" for n, a in zip("xyz", args))
 
 
 def _sample_lincomb(rnd: random.Random, pool: list) -> LinComb:
@@ -260,36 +282,32 @@ def _sample_lincomb(rnd: random.Random, pool: list) -> LinComb:
 
 def _sweep(alg: AlgebraHandle, laws, maxdeg: int, mode: str,
            seed: int, samples: int) -> list[LawReport]:
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     ops = _Ops(alg)
     slices = _basis_slices(alg, maxdeg)
     pool = [k for n in range(maxdeg + 1) for k in slices[n]]
     order = {k: i for i, k in enumerate(pool)}
-    reports = []
-    for law, arity, needs, defect, sym in laws:
-        if not _supported(alg, needs):
-            continue
-        witness = None
-        if mode == "exhaustive":
-            for keys in _exhaustive_args(slices, arity, maxdeg):
-                if sym and order[keys[sym[0]]] > order[keys[sym[1]]]:
-                    continue
-                if defect(ops, *(unit(k) for k in keys)):
-                    witness = " ".join(
-                        f"{n}={alg.key_str(k)}" for n, k in zip("xyz", keys))
-                    break
-        elif mode == "sampled":
-            rnd = random.Random(f"{seed}:{law}")
-            for _ in range(samples):
-                args = [_sample_lincomb(rnd, pool) for _ in range(arity)]
-                if defect(ops, *args):
-                    witness = " ".join(
-                        f"{n}={fmt_lincomb(a, alg.key_str)}"
-                        for n, a in zip("xyz", args))
-                    break
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        reports.append(LawReport(law, alg.name, maxdeg, witness))
-    return reports
+
+    def exhaustive(law, arity, defect, sym):
+        def fails(*keys):
+            if sym and order[keys[sym[0]]] > order[keys[sym[1]]]:
+                return False
+            return defect(ops, *(unit(k) for k in keys))
+        return basis_witnesses(alg, slices, arity, maxdeg, fails)
+
+    def sampled(law, arity, defect, sym):
+        rnd = random.Random(f"{seed}:{law}")
+        for _ in range(samples):
+            args = [_sample_lincomb(rnd, pool) for _ in range(arity)]
+            if defect(ops, *args):
+                yield _show(args, lambda a: fmt_lincomb(a, alg.key_str))
+
+    stream = exhaustive if mode == "exhaustive" else sampled
+    return [first_witness(law, alg.name, maxdeg,
+                          stream(law, arity, defect, sym))
+            for law, arity, needs, defect, sym in laws
+            if _supported(alg, needs)]
 
 
 def check_comprelie(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
@@ -380,11 +398,8 @@ def mutation_selftest(alg: AlgebraHandle, maxdeg: int = 3) -> dict[str, list[str
     if alg.coproduct is not None:
         kinds += ["coproduct", "counit"]
     for which in kinds:
-        bad = corrupt(alg, which)
-        reports = check_comprelie(bad, maxdeg)
-        if bad.coproduct is not None:
-            reports += check_bialgebra_compat(bad, maxdeg)
-        out[which] = [r.law for r in reports if not r.ok]
+        out[which] = [r.law for r in run_all(corrupt(alg, which), maxdeg)
+                      if not r.ok]
     return out
 
 
@@ -440,17 +455,13 @@ def check_eps_symmetry(alg: AlgebraHandle, eps: Callable,
                        maxdeg: int) -> LawReport:
     """eps(prelie(a, b)) == eps(prelie(b, a)) — the precondition of the
     tensor construction."""
-    slices = _basis_slices(alg, maxdeg)
-    ops = _Ops(alg)
-    for a, b in _exhaustive_args(slices, 2, maxdeg):
-        la = sum((c * eps(k) for k, c in ops.prelie_k(a, b).items()),
-                 Fraction(0))
-        lb = sum((c * eps(k) for k, c in ops.prelie_k(b, a).items()),
-                 Fraction(0))
-        if la != lb:
-            return LawReport("eps-symmetry", alg.name, maxdeg,
-                             f"x={alg.key_str(a)} y={alg.key_str(b)}")
-    return LawReport("eps-symmetry", alg.name, maxdeg)
+    ops = _Ops(replace(alg, counit=eps))
+
+    def fails(a, b):
+        return ops.counit(ops.prelie_k(a, b)) != ops.counit(ops.prelie_k(b, a))
+
+    return first_witness("eps-symmetry", alg.name, maxdeg, basis_witnesses(
+        alg, _basis_slices(alg, maxdeg), 2, maxdeg, fails))
 
 
 def _reassociate(x: LinComb) -> LinComb:
@@ -464,17 +475,15 @@ def check_tensor_assoc(a1: AlgebraHandle, a2: AlgebraHandle,
     and A1 (x) (A2 (x) A3) have equal products under key reassociation."""
     left = tensor_comprelie(tensor_comprelie(a1, a2), a3)
     right = tensor_comprelie(a1, tensor_comprelie(a2, a3))
-    slices = _basis_slices(left, maxdeg)
-    name = f"{a1.name}(x){a2.name}(x){a3.name}"
-    for p, q in _exhaustive_args(slices, 2, maxdeg):
+
+    def fails(p, q):
         rp, rq = (p[0][0], (p[0][1], p[1])), (q[0][0], (q[0][1], q[1]))
-        if _reassociate(left.prelie(p, q)) != right.prelie(rp, rq):
-            return LawReport("tensor-assoc", name, maxdeg,
-                             f"x={left.key_str(p)} y={left.key_str(q)}")
-        if _reassociate(left.mul(p, q)) != right.mul(rp, rq):
-            return LawReport("tensor-assoc", name, maxdeg,
-                             f"x={left.key_str(p)} y={left.key_str(q)}")
-    return LawReport("tensor-assoc", name, maxdeg)
+        return (_reassociate(left.prelie(p, q)) != right.prelie(rp, rq)
+                or _reassociate(left.mul(p, q)) != right.mul(rp, rq))
+
+    return first_witness(
+        "tensor-assoc", f"{a1.name}(x){a2.name}(x){a3.name}", maxdeg,
+        basis_witnesses(left, _basis_slices(left, maxdeg), 2, maxdeg, fails))
 
 
 def check_eps_id_morphism(a1: AlgebraHandle, a2: AlgebraHandle,
@@ -484,6 +493,7 @@ def check_eps_id_morphism(a1: AlgebraHandle, a2: AlgebraHandle,
     morphism for both products."""
     e = eps if eps is not None else a1.counit
     t = tensor_comprelie(a1, a2, eps=e)
+    ops2 = _Ops(a2)
 
     def collapse(x: LinComb) -> LinComb:
         out = LinComb()
@@ -491,31 +501,26 @@ def check_eps_id_morphism(a1: AlgebraHandle, a2: AlgebraHandle,
             out.add_term(k2, c * e(k1))
         return out
 
-    slices = _basis_slices(t, maxdeg)
-    ops2 = _Ops(a2)
-    for p, q in _exhaustive_args(slices, 2, maxdeg):
+    def fails(p, q):
         w = e(p[0]) * e(q[0])
-        if collapse(t.prelie(p, q)) != ops2.prelie_k(p[1], q[1]).scale(w):
-            return LawReport("eps-id-morphism", t.name, maxdeg,
-                             f"x={t.key_str(p)} y={t.key_str(q)}")
-        if collapse(t.mul(p, q)) != ops2.mul_k(p[1], q[1]).scale(w):
-            return LawReport("eps-id-morphism", t.name, maxdeg,
-                             f"x={t.key_str(p)} y={t.key_str(q)}")
-    return LawReport("eps-id-morphism", t.name, maxdeg)
+        return (collapse(t.prelie(p, q)) != ops2.prelie_k(p[1], q[1]).scale(w)
+                or collapse(t.mul(p, q)) != ops2.mul_k(p[1], q[1]).scale(w))
+
+    return first_witness("eps-id-morphism", t.name, maxdeg, basis_witnesses(
+        t, _basis_slices(t, maxdeg), 2, maxdeg, fails))
 
 
 def check_coproduct_morphism(alg: AlgebraHandle, maxdeg: int) -> LawReport:
     """With eps = counit, the coproduct is a morphism of Com-PreLie
     algebras from A to A (x) A — an equivalent packaging of the
     compatibility law, computed through tensor_comprelie."""
-    t = tensor_comprelie(alg, alg)
     ops = _Ops(alg)
-    tops = _Ops(t)
-    slices = _basis_slices(alg, maxdeg)
-    for a, b in _exhaustive_args(slices, 2, maxdeg):
-        lhs = ops.cop(ops.prelie_k(a, b))
-        rhs = tops.prelie(ops.cop_k(a), ops.cop_k(b))
-        if lhs != rhs:
-            return LawReport("coproduct-morphism", alg.name, maxdeg,
-                             f"x={alg.key_str(a)} y={alg.key_str(b)}")
-    return LawReport("coproduct-morphism", alg.name, maxdeg)
+    tops = _Ops(tensor_comprelie(alg, alg))
+
+    def fails(a, b):
+        return (ops.cop(ops.prelie_k(a, b))
+                != tops.prelie(ops.cop_k(a), ops.cop_k(b)))
+
+    return first_witness("coproduct-morphism", alg.name, maxdeg,
+                         basis_witnesses(alg, _basis_slices(alg, maxdeg), 2,
+                                        maxdeg, fails))

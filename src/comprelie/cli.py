@@ -19,8 +19,10 @@ around the sign).  Tree keys use the `{[d:k([e],[f])]}` grammar, word keys
 are dot-separated letters with `eps` for the empty word.
 
 Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
-unparseable input (including negative degree-like flags), 3 resource bound
-exceeded (including input nested too deeply for the recursion limit).
+unparseable input (including negative degree-like flags, count-like flags
+out of range: --labels, --samples or --jobs below 1, --cap below 0, and an
+--alphabet with no letter), 3 resource bound exceeded (including input
+nested too deeply for the recursion limit).
 Degree-like flags above 5 need --force; the COMPRELIE_MAXDEG environment
 variable (default 7) is a hard ceiling.  Identical invocations produce
 byte-identical output.
@@ -74,11 +76,23 @@ def guard(value: int, force: bool, what: str = "degree") -> None:
             "pass --force to proceed")
 
 
+def at_least(value: int, low: int, what: str) -> int:
+    """Refuse a count-like flag below its least meaningful value."""
+    if value < low:
+        raise CliError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
 def labels_from(args) -> tuple:
-    """--alphabet a,b,c wins; else --labels k means d1..dk."""
-    if getattr(args, "alphabet", None):
-        return tuple(p.strip() for p in args.alphabet.split(",") if p.strip())
-    return tuple(f"d{i}" for i in range(1, args.labels + 1))
+    """--alphabet a,b,c wins and must name a letter; else --labels k
+    (at least 1) means d1..dk."""
+    if args.alphabet is None:
+        k = at_least(args.labels, 1, "--labels")
+        return tuple(f"d{i}" for i in range(1, k + 1))
+    labels = tuple(p.strip() for p in args.alphabet.split(",") if p.strip())
+    if not labels:
+        raise CliError(f"--alphabet {args.alphabet!r} names no letter")
+    return labels
 
 
 def parse_lincomb(text: str, parse_key: Callable) -> LinComb:
@@ -252,8 +266,8 @@ def _fmt_row(row) -> str:
 
 
 def cmd_rigidity_obstruction(args) -> int:
-    labels = labels_from(args)
-    sol = cofree_obstruction(labels, counter_cap=args.cap)
+    sol = cofree_obstruction(labels_from(args),
+                             counter_cap=at_least(args.cap, 0, "--cap"))
     if sol is None:
         print("infeasible")
     else:
@@ -267,12 +281,12 @@ _CHECK_ORDER = ("ucp", "cp", "hck", "tvf", "degneg1", "dual-cp", "dual-ucp")
 def _check_job(spec) -> list:
     name, labels, alphabet, abc, maxdeg, mode, seed, samples = spec
     alg = handle_for(name, labels, alphabet, abc)
-    return report_lines(
-        run_all(alg, maxdeg, mode=mode, seed=seed, samples=samples))
+    return run_all(alg, maxdeg, mode=mode, seed=seed, samples=samples)
 
 
 def cmd_check(args) -> int:
     guard(args.maxdeg, args.force, "--maxdeg")
+    at_least(args.samples, 1, "--samples")
     names = list(_CHECK_ORDER) if args.algebra == "all" else [args.algebra]
     labels = labels_from(args)
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
@@ -282,16 +296,16 @@ def cmd_check(args) -> int:
         raise CliError("--abc needs exactly three rationals")
     specs = [(n, labels, alphabet, abc, args.maxdeg, args.mode, args.seed,
               args.samples) for n in names]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(at_least(args.jobs, 1, "--jobs"), len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_check_job, specs))
     else:
         blocks = [_check_job(s) for s in specs]
-    failed = False
-    for block in blocks:
-        for line in block:
-            print(line)
-            failed = failed or " FAIL" in line
+    reports = [r for block in blocks for r in block]
+    for line in report_lines(reports):
+        print(line)
+    failed = not all_pass(reports)
     if args.selftest:
         for name in names:
             alg = handle_for(name, labels, alphabet, abc)

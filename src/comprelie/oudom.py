@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .axioms import AlgebraHandle, LawReport
+from .axioms import AlgebraHandle, LawReport, first_witness
 from .lincomb import LinComb, bilinear_extend, tensor, unit
 
 SymWord = tuple  # sorted tuple of basis keys; () is the symmetric unit
@@ -229,8 +229,7 @@ def _sym_words(pool: list, maxlen: int, maxdeg: int) -> list:
     return out
 
 
-def check_prop6(alg: AlgebraHandle, maxsize: int, maxarg: int = None,
-                maxword: int = None) -> list[LawReport]:
+def check_prop6(alg: AlgebraHandle, maxsize: int) -> list[LawReport]:
     """Sweep the two compatibility identities of the extended product over
     all basis keys a, b and symmetric words w of basis keys, with total
     degree ≤ maxsize and at most maxsize word factors:
@@ -239,52 +238,25 @@ def check_prop6(alg: AlgebraHandle, maxsize: int, maxarg: int = None,
       w = w'⊔w'' of (a•w')·(b•w'');
     * coproduct rule: Δ(a•w) expands through Δ(a) and the factorwise
       coproducts of w (skipped when the handle has no coproduct).
-
-    `maxarg` additionally caps the degree of a and b, and `maxword` the
-    factor count and total degree of w (both default to maxsize).
     """
-    maxarg = maxsize if maxarg is None else maxarg
-    maxword = maxsize if maxword is None else maxword
     ext = extension_for(alg)
-    pool = _degree_pool(alg, 0, maxarg)
-    words = _sym_words(_degree_pool(alg, 0, maxword), maxword, maxword)
-    reports = []
-
-    def wstr(w):
-        return fmt_symword(w, alg.key_str)
-
-    witness = None
-    for ai, (a, da) in enumerate(pool):
-        for b, db in pool[ai:]:
-            if da + db > maxsize:
-                break
-            for w, dw in words:
-                if da + db + dw > maxsize:
-                    continue
-                if product_rule_defect(ext, alg.mul, a, b, list(w)):
-                    witness = (f"a={alg.key_str(a)} b={alg.key_str(b)} "
-                               f"w={wstr(w)}")
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(LawReport("product-rule", alg.name, maxsize, witness))
-
+    pool = _degree_pool(alg, 0, maxsize)
+    words = _sym_words(pool, maxsize, maxsize)
+    ks = alg.key_str
+    pairs = [(a, b, da + db) for i, (a, da) in enumerate(pool)
+             for b, db in pool[i:] if da + db <= maxsize]
+    reports = [first_witness(
+        "product-rule", alg.name, maxsize,
+        (f"a={ks(a)} b={ks(b)} w={fmt_symword(w, ks)}"
+         for a, b, d in pairs for w, dw in words if d + dw <= maxsize
+         and product_rule_defect(ext, alg.mul, a, b, list(w))))]
     if alg.coproduct is not None:
-        witness = None
-        for a, da in pool:
-            for w, dw in words:
-                if da + dw > maxsize:
-                    continue
-                if coproduct_rule_defect(ext, alg.mul, alg.coproduct,
-                                         alg.unit, a, list(w)):
-                    witness = f"a={alg.key_str(a)} w={wstr(w)}"
-                    break
-            if witness:
-                break
-        reports.append(LawReport("coproduct-rule", alg.name, maxsize,
-                                 witness))
+        reports.append(first_witness(
+            "coproduct-rule", alg.name, maxsize,
+            (f"a={ks(a)} w={fmt_symword(w, ks)}"
+             for a, da in pool for w, dw in words if da + dw <= maxsize
+             and coproduct_rule_defect(ext, alg.mul, alg.coproduct,
+                                       alg.unit, a, list(w)))))
     return reports
 
 
@@ -300,12 +272,9 @@ def check_lemma7(alg: AlgebraHandle, maxk: int, maxl: int) -> LawReport:
         raise ValueError(f"{alg.name} has no unit")
     ext = extension_for(alg)
     words = _sym_words(_degree_pool(alg, 1, maxl), maxl, maxl)
-    for a in alg.basis(1):
-        for k in range(maxk + 1):
-            for w, _ in words:
-                if absorb_defect(ext, alg.unit, a, list(w), k):
-                    witness = (f"a={alg.key_str(a)} k={k} "
-                               f"w={fmt_symword(w, alg.key_str)}")
-                    return LawReport("unit-absorption", alg.name,
-                                     maxk + maxl, witness)
-    return LawReport("unit-absorption", alg.name, maxk + maxl)
+    ks = alg.key_str
+    return first_witness(
+        "unit-absorption", alg.name, maxk + maxl,
+        (f"a={ks(a)} k={k} w={fmt_symword(w, ks)}"
+         for a in alg.basis(1) for k in range(maxk + 1) for w, _ in words
+         if absorb_defect(ext, alg.unit, a, list(w), k)))

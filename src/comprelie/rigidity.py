@@ -21,8 +21,8 @@ Pipeline, for a degree-truncated algebra A (bound N):
    invertible; again checks, not assumptions.
 
 Everything is exact rational arithmetic.  The checks return LawReport
-values (same shape as the axiom sweeps), so a failed property names its
-witness.
+values through ``axioms.first_witness`` (same shape as the axiom sweeps),
+so a failed property names its witness.
 
 The last section probes the converse: on the counter algebra with two
 distinct labels, no element has reduced coproduct equal to the single
@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .axioms import AlgebraHandle, LawReport
+from .axioms import AlgebraHandle, LawReport, basis_witnesses, first_witness
 from .linalg import invert, mat_vec, nullspace, rank, solve
 from .lincomb import LinComb, bilinear_extend, tensor, tensor_apply2, unit
 from .shuffle import Word, deconcat, fmt_word, shuffle
@@ -171,6 +171,24 @@ def primitive_basis(tb: TruncatedBialgebra, n: int) -> list[LinComb]:
     return tb._prim[n]
 
 
+def _length1(x: LinComb) -> LinComb:
+    """The length-1 component of a LinComb over words, over letters."""
+    out = LinComb()
+    for w, c in x.items():
+        if len(w) == 1:
+            out.add_term(w[0], c)
+    return out
+
+
+def _iso_witness(matrix: list, ncols: int, rows: str,
+                 cols: str) -> Optional[str]:
+    """Why the matrix is not square of full rank (ranked once), or None."""
+    if len(matrix) != ncols:
+        return f"{len(matrix)} {rows} vs {ncols} {cols}"
+    r = rank(matrix)
+    return None if r == ncols else f"rank {r} < {ncols}"
+
+
 def eulerian_psi(tb: TruncatedBialgebra, x: LinComb) -> LinComb:
     """Convolution logarithm of the identity, applied to x: fixes
     primitives, annihilates products of augmentation-ideal elements."""
@@ -290,30 +308,21 @@ class Omega:
 
     def check_iso(self) -> list[LawReport]:
         """Per degree: as many words as slice elements, and full rank."""
-        name = self.tb.alg.name
-        reports = []
-        for n in range(1, self.tb.N + 1):
-            witness = None
-            nw, nk = len(self.words(n)), len(self.tb.slices[n])
-            if nw != nk:
-                witness = f"{nw} words vs {nk} basis elements"
-            elif rank(self.matrix(n)) != nk:
-                witness = f"rank {rank(self.matrix(n))} < {nk}"
-            reports.append(LawReport("omega-iso", name, n, witness))
-        return reports
+        return [LawReport("omega-iso", self.tb.alg.name, n, _iso_witness(
+                    self.matrix(n), len(self.tb.slices[n]), "words",
+                    "basis elements"))
+                for n in range(1, self.tb.N + 1)]
 
     def check_coalgebra(self) -> LawReport:
         """Coproduct of omega(w) equals omega⊗omega of the deconcatenation."""
-        name = self.tb.alg.name
-        for n in range(self.tb.N + 1):
-            for w in self.words(n):
-                lhs = self.tb.cop(self.apply_word(w))
-                rhs = tensor_apply2(deconcat(w), self.apply_word,
-                                    self.apply_word)
-                if lhs != rhs:
-                    return LawReport("omega-coalgebra", name, self.tb.N,
-                                     f"w={fmt_word(w)}")
-        return LawReport("omega-coalgebra", name, self.tb.N)
+        om = self.apply_word
+
+        def fails(w):
+            return self.tb.cop(om(w)) != tensor_apply2(deconcat(w), om, om)
+
+        words = (w for n in range(self.tb.N + 1) for w in self.words(n))
+        return first_witness("omega-coalgebra", self.tb.alg.name, self.tb.N,
+                             (f"w={fmt_word(w)}" for w in words if fails(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +345,10 @@ class HopfIso:
         """LinComb over letters."""
         out = self._varpi.get(k)
         if out is None:
-            n = self.tb.deg[k]
-            out = LinComb()
-            if n > 0:
-                y = self.tb.psi_k(k)
-                if y:
-                    for w, c in self.omega.inverse(y, n).items():
-                        if len(w) == 1:
-                            out.add_term(w[0], c)
-            self._varpi[k] = out
+            y = self.tb.psi_k(k)  # zero on the unit
+            out = self._varpi[k] = (
+                _length1(self.omega.inverse(y, self.tb.deg[k])) if y
+                else LinComb())
         return out
 
     def varpi(self, x: LinComb) -> LinComb:
@@ -380,78 +384,57 @@ class HopfIso:
 
     # -- checks --------------------------------------------------------------
 
+    def _witnesses(self, arity: int, fails: Callable):
+        """Witnesses among the basis tuples within the degree bound."""
+        return basis_witnesses(self.tb.alg, self.tb.slices, arity, self.tb.N,
+                               fails)
+
     def check_multiplicative(self) -> LawReport:
         """F of the commutative product is the shuffle of the F images,
         for every basis pair within the degree bound."""
-        name = self.tb.alg.name
-        N = self.tb.N
-        for da in range(N + 1):
-            for db in range(N + 1 - da):
-                for a in self.tb.slices[da]:
-                    for b in self.tb.slices[db]:
-                        lhs = self.F(self.tb.mul_k(a, b))
-                        rhs = bilinear_extend(shuffle, self.F_k(a),
-                                              self.F_k(b))
-                        if lhs != rhs:
-                            ks = self.tb.alg.key_str
-                            return LawReport(
-                                "hopf-multiplicative", name, N,
-                                f"x={ks(a)} y={ks(b)}")
-        return LawReport("hopf-multiplicative", name, N)
+        def fails(a, b):
+            return (self.F(self.tb.mul_k(a, b))
+                    != bilinear_extend(shuffle, self.F_k(a), self.F_k(b)))
+
+        return first_witness("hopf-multiplicative", self.tb.alg.name,
+                             self.tb.N, self._witnesses(2, fails))
 
     def check_projection(self) -> LawReport:
         """The length-1 component of F is varpi, and F sends the unit to
         the empty word."""
-        name = self.tb.alg.name
-        if self.F_k(self.tb.alg.unit) != unit(()):
-            return LawReport("hopf-projection", name, self.tb.N,
-                             "unit image")
-        for n in range(1, self.tb.N + 1):
-            for k in self.tb.slices[n]:
-                head = LinComb()
-                for w, c in self.F_k(k).items():
-                    if len(w) == 1:
-                        head.add_term(w[0], c)
-                if head != self.varpi_k(k):
-                    return LawReport("hopf-projection", name, self.tb.N,
-                                     f"x={self.tb.alg.key_str(k)}")
-        return LawReport("hopf-projection", name, self.tb.N)
+        def witnesses():
+            if self.F_k(self.tb.alg.unit) != unit(()):
+                yield "unit image"
+            yield from self._witnesses(
+                1, lambda k: _length1(self.F_k(k)) != self.varpi_k(k))
+
+        return first_witness("hopf-projection", self.tb.alg.name, self.tb.N,
+                             witnesses())
 
     def check_coalgebra(self) -> LawReport:
         """Deconcatenation of F(x) equals F⊗F of the coproduct."""
-        name = self.tb.alg.name
-        for n in range(self.tb.N + 1):
-            for k in self.tb.slices[n]:
-                lhs = self.F_k(k).map_linear(deconcat)
-                rhs = tensor_apply2(self.tb.cop_k(k), self.F_k, self.F_k)
-                if lhs != rhs:
-                    return LawReport("hopf-coalgebra", name, self.tb.N,
-                                     f"x={self.tb.alg.key_str(k)}")
-        return LawReport("hopf-coalgebra", name, self.tb.N)
+        def fails(k):
+            return (self.F_k(k).map_linear(deconcat)
+                    != tensor_apply2(self.tb.cop_k(k), self.F_k, self.F_k))
+
+        return first_witness("hopf-coalgebra", self.tb.alg.name, self.tb.N,
+                             self._witnesses(1, fails))
 
     def check_iso(self) -> list[LawReport]:
         """Full rank of the F matrix on each slice."""
-        name = self.tb.alg.name
-        reports = []
-        for n in range(1, self.tb.N + 1):
-            m = self.matrix(n)
-            witness = None
-            if len(m) != len(self.omega.words(n)):
-                witness = f"{len(m)} keys vs {len(self.omega.words(n))} words"
-            elif rank(m) != len(m):
-                witness = f"rank {rank(m)} < {len(m)}"
-            reports.append(LawReport("hopf-iso", name, n, witness))
-        return reports
+        return [LawReport("hopf-iso", self.tb.alg.name, n, _iso_witness(
+                    self.matrix(n), len(self.omega.words(n)), "keys",
+                    "words"))
+                for n in range(1, self.tb.N + 1)]
 
     def check_primitives(self) -> LawReport:
         """varpi restricted to the chosen primitives picks out exactly the
         matching letter — the invertibility of varpi on primitives."""
-        name = self.tb.alg.name
-        for letter in self.omega.letters:
-            if self.varpi(self.omega.letter_prim[letter]) != unit(letter):
-                return LawReport("varpi-primitives", name, self.tb.N,
-                                 f"letter={letter}")
-        return LawReport("varpi-primitives", name, self.tb.N)
+        om = self.omega
+        return first_witness(
+            "varpi-primitives", self.tb.alg.name, self.tb.N,
+            (f"letter={x}" for x in om.letters
+             if self.varpi(om.letter_prim[x]) != unit(x)))
 
     def run_checks(self) -> list[LawReport]:
         reports = self.omega.check_iso()

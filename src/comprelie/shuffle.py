@@ -157,6 +157,21 @@ def words_of_length(letters, n: int) -> list[Word]:
     return [tuple(w) for w in product(sorted(letters), repeat=n)]
 
 
+def _word_triples(varpi: Varpi, letters, scale: int,
+                  max_total: int | None):
+    """Word triples (u, v, w) by total length, then by the lengths of u and
+    v.  For homogeneous varpi of degree N only the total 1 - scale*N is
+    swept; otherwise every total up to max_total (default 4)."""
+    totals = ([1 - scale * varpi.degree] if varpi.degree is not None
+              else range((max_total or 4) + 1))
+    for total in totals:
+        for k in range(total + 1):
+            for l in range(total - k + 1):
+                yield from product(words_of_length(letters, k),
+                                   words_of_length(letters, l),
+                                   words_of_length(letters, total - k - l))
+
+
 def eq2_failures(varpi: Varpi, letters, max_total: int | None = None):
     """Counterexamples to shuffle-compatibility of varpi.
 
@@ -164,25 +179,15 @@ def eq2_failures(varpi: Varpi, letters, max_total: int | None = None):
     otherwise all totals up to max_total are swept.  Yields (u, v, w,
     difference) tuples; an empty sweep means the identity holds.
     """
-    totals = ([1 - varpi.degree] if varpi.degree is not None
-              else range((max_total or 4) + 1))
-    for total in totals:
-        if total < 0:
-            continue
-        for k in range(total + 1):
-            for l in range(total - k + 1):
-                n = total - k - l
-                for u in words_of_length(letters, k):
-                    for v in words_of_length(letters, l):
-                        for w in words_of_length(letters, n):
-                            lhs = varpi.apply_lc(shuffle(u, v), unit(w))
-                            rhs = LinComb()
-                            if not u:
-                                rhs += varpi.apply(v, w)
-                            if not v:
-                                rhs += varpi.apply(u, w)
-                            if lhs != rhs:
-                                yield (u, v, w, lhs - rhs)
+    for u, v, w in _word_triples(varpi, letters, 1, max_total):
+        lhs = varpi.apply_lc(shuffle(u, v), unit(w))
+        rhs = LinComb()
+        if not u:
+            rhs += varpi.apply(v, w)
+        if not v:
+            rhs += varpi.apply(u, w)
+        if lhs != rhs:
+            yield (u, v, w, lhs - rhs)
 
 
 def eq3_failures(varpi: Varpi, letters, max_total: int | None = None):
@@ -190,23 +195,14 @@ def eq3_failures(varpi: Varpi, letters, max_total: int | None = None):
 
     For homogeneous varpi of degree N only total length 1-2N can fail.
     """
-    totals = ([1 - 2 * varpi.degree] if varpi.degree is not None
-              else range((max_total or 4) + 1))
-    for total in totals:
-        if total < 0:
-            continue
-        for k in range(total + 1):
-            for l in range(total - k + 1):
-                n = total - k - l
-                for u in words_of_length(letters, k):
-                    for v in words_of_length(letters, l):
-                        for w in words_of_length(letters, n):
-                            lhs = (varpi.apply_lc(bullet_varpi(varpi, u, v), unit(w))
-                                   - varpi.apply_lc(unit(u), bullet_varpi(varpi, v, w)))
-                            rhs = (varpi.apply_lc(bullet_varpi(varpi, u, w), unit(v))
-                                   - varpi.apply_lc(unit(u), bullet_varpi(varpi, w, v)))
-                            if lhs != rhs:
-                                yield (u, v, w, lhs - rhs)
+    def side(x, y, z):
+        return (varpi.apply_lc(bullet_varpi(varpi, x, y), unit(z))
+                - varpi.apply_lc(unit(x), bullet_varpi(varpi, y, z)))
+
+    for u, v, w in _word_triples(varpi, letters, 2, max_total):
+        d = side(u, v, w) - side(u, w, v)
+        if d:
+            yield (u, v, w, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """The law harness checked against itself: every handle passes the sweeps,
 every deliberate corruption is caught, and the tensor construction behaves."""
 
-import pytest
+import itertools
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from comprelie.axioms import (
     AlgebraHandle,
     all_pass,
     applicable_laws,
+    basis_tuples,
     check_bialgebra_compat,
     check_comprelie,
     check_coproduct_morphism,
@@ -15,6 +19,7 @@ from comprelie.axioms import (
     check_eps_symmetry,
     check_tensor_assoc,
     corrupt,
+    first_witness,
     mutation_selftest,
     report_lines,
     run_all,
@@ -32,6 +37,7 @@ from comprelie.handles import (
     tvf_handle,
     ucp_handle,
 )
+from comprelie.lincomb import unit
 
 
 def _failures(reports):
@@ -108,6 +114,36 @@ def test_failure_line_carries_witness():
     line = broken[0].line()
     assert line.startswith(f"{broken[0].law} cp!mul 2 FAIL x=")
     assert "y=" in line
+
+
+def test_first_witness_draws_at_most_one():
+    drawn = []
+
+    def witnesses():
+        for w in ("x=a", "x=b", "x=c"):
+            drawn.append(w)
+            yield w
+
+    assert first_witness("law", "alg", 2, witnesses()).line() == \
+        "law alg 2 FAIL x=a"
+    assert drawn == ["x=a"]
+    assert first_witness("law", "alg", 2, iter(())).line() == "law alg 2 PASS"
+
+
+def test_basis_tuples_order():
+    # degree tuples in lexicographic order, then slice positions: the order
+    # of the nested degree loops every sweep used to write out
+    cp = cp_handle()
+    slices = {n: cp.basis(n) for n in range(4)}
+    assert list(basis_tuples(slices, 1, 3)) == [
+        (k,) for n in range(4) for k in slices[n]]
+    assert list(basis_tuples(slices, 2, 3)) == [
+        (a, b) for da in range(4) for db in range(4 - da)
+        for a in slices[da] for b in slices[db]]
+    assert len(list(basis_tuples(slices, 3, 3))) == sum(
+        len(slices[i]) * len(slices[j]) * len(slices[k])
+        for i in range(4) for j in range(4) for k in range(4)
+        if i + j + k <= 3)
 
 
 # --- the harness rejects broken structures -------------------------------------
@@ -221,3 +257,49 @@ def test_tensor_counit_multiplies():
     assert t.counit(t.unit) == 1
     x = cp_handle().basis(1)[0]
     assert t.counit((x, t.unit[1])) == 0
+
+
+# --- the tensor and eps checks fail with a pinned witness -------------------------
+
+def test_eps_symmetry_failure_witness():
+    bad = corrupt(cp_handle(), "counit").counit
+    assert check_eps_symmetry(cp_handle(), bad, 3).line() == \
+        "eps-symmetry cp 3 FAIL x={} y={[d]}"
+
+
+def test_tensor_assoc_failure_witness():
+    # The construction is associative for any pure evaluators, so the
+    # seeded failure is hidden state: on non-unit left arguments the first
+    # factor's preLie product is wrong on every second call, and the two
+    # bracketings (evaluated one after the other) disagree.
+    base = cp_handle()
+    calls = itertools.count()
+
+    def drifting(a, b):
+        out = base.prelie(a, b)
+        if a != base.unit and next(calls) % 2:
+            out = out + unit(b)
+        return out
+
+    a1 = replace(base, name="cp~", prelie=drifting)
+    assert check_tensor_assoc(a1, base, base, 2).line() == (
+        "tensor-assoc cp~(x)cp(x)cp 2 FAIL "
+        "x=(({[d]})(x)({}))(x)({}) y=(({})(x)({}))(x)({})")
+
+
+def test_eps_id_morphism_failure_witness():
+    assert check_eps_id_morphism(corrupt(cp_handle(), "counit"), cp_handle(),
+                                 2).line() == (
+        "eps-id-morphism cp!counit(x)cp 2 FAIL x=({[d]})(x)({}) y=({})(x)({})")
+    assert check_eps_id_morphism(cp_handle(), cp_handle(), 2,
+                                 eps=lambda k: 1).line() == (
+        "eps-id-morphism cp(x)cp 2 FAIL x=({[d]})(x)({}) y=({})(x)({})")
+
+
+def test_coproduct_morphism_failure_witness():
+    assert check_coproduct_morphism(corrupt(cp_handle(), "coproduct"),
+                                    2).line() == \
+        "coproduct-morphism cp!coproduct 2 FAIL x={[d]} y={}"
+    assert check_coproduct_morphism(corrupt(cp_handle(), "counit"),
+                                    2).line() == \
+        "coproduct-morphism cp!counit 2 FAIL x={[d]} y={[d]}"

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from comprelie import cli
 from comprelie.cli import main, parse_lincomb
 from comprelie.lincomb import LinComb, fmt_lincomb, unit
 from comprelie.ptree import parse, serialize
@@ -222,6 +223,34 @@ def test_check_sampled_mode(capsys):
     assert rc == 0
 
 
+def test_check_pool_never_outnumbers_the_algebras(capsys, monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so
+    # no worker is started whatever --jobs says
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    serial = run(capsys, "check", "--algebra", "all", "--maxdeg", "1")
+    for jobs, size in (("100000", 7), ("3", 3)):
+        assert run(capsys, "check", "--algebra", "all", "--maxdeg", "1",
+                   "--jobs", jobs) == serial
+        assert sizes.pop() == size
+    run(capsys, "check", "--algebra", "cp", "--maxdeg", "1", "--jobs", "8")
+    assert sizes == []
+
+
 # --- exit codes and guards ----------------------------------------------------
 
 def test_guard_needs_force(capsys):
@@ -276,6 +305,33 @@ def test_negative_degree_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rigidity", "obstruction", "--labels", "0"],
+    ["check", "--algebra", "cp", "--maxdeg", "2", "--labels", "0"],
+    ["enum", "--n", "3", "--labels", "-2"],
+    ["kerdelta", "--degree", "3", "--alphabet", ","],
+    ["check", "--algebra", "tvf", "--alphabet", ""],
+    ["check", "--algebra", "cp", "--mode", "sampled", "--samples", "-3"],
+    ["check", "--algebra", "cp", "--samples", "0"],
+    ["rigidity", "obstruction", "--cap", "-1"],
+    ["check", "--algebra", "cp", "--jobs", "0"],
+    ["check", "--algebra", "all", "--jobs", "-4"],
+])
+def test_count_flag_out_of_range_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_count_flags_at_their_least_value(capsys):
+    assert main(["rigidity", "obstruction", "--cap", "0"]) == 0
+    assert main(["check", "--algebra", "cp", "--maxdeg", "1", "--mode",
+                 "sampled", "--samples", "1", "--jobs", "1"]) == 0
+    assert main(["enum", "--n", "1", "--alphabet", " ,x"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "{[x]}"
 
 
 DEEP_PATH = "{[" + "d([" * 399 + "d" + "])" * 399 + "]}"

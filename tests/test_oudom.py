@@ -214,3 +214,19 @@ def test_check_prop6_catches_corruption():
     from comprelie.axioms import corrupt
     reports = check_prop6(corrupt(cp_handle(), "prelie"), 2)
     assert not all(r.ok for r in reports)
+
+
+def test_check_prop6_coproduct_rule_failure_witness():
+    from comprelie.axioms import corrupt
+    reports = check_prop6(corrupt(cp_handle(), "coproduct"), 2)
+    assert [r.line() for r in reports] == [
+        "product-rule cp!coproduct 2 PASS",
+        "coproduct-rule cp!coproduct 2 FAIL a={[d]} w={}",
+    ]
+
+
+def test_check_lemma7_failure_witness():
+    from comprelie.axioms import corrupt
+    for name, alg in (("cp", cp_handle()), ("hck", hck_handle())):
+        assert check_lemma7(corrupt(alg, "prelie"), 2, 2).line() == \
+            f"unit-absorption {name}!prelie 4 FAIL a={{[d]}} k=1 w={{[d]}}"

@@ -238,6 +238,109 @@ def test_varpi_kills_products_and_unit():
             assert iso.varpi(tb.mul_k(a, b)).is_zero()
 
 
+# --- every check fails on a seeded fault, naming its witness ---------------------
+
+def _failures(reports):
+    return [r.line() for r in reports if not r.ok]
+
+
+def test_omega_iso_failure_witness():
+    # a right inverse that kills the degree-2 letters makes omega singular
+    tb = tb_cp(3)
+    om = Omega(tb, g=lambda p, n: LinComb() if n == 2
+               else p.scale(Fraction(1, n)))
+    assert _failures(om.check_iso()) == [
+        "omega-iso cp 2 FAIL rank 1 < 2", "omega-iso cp 3 FAIL rank 3 < 5"]
+    assert om.check_coalgebra().ok
+    # a dropped letter leaves fewer words than basis elements
+    om = Omega(tb_cp(3))
+    om.letters.pop()
+    assert _failures(om.check_iso()) == [
+        "omega-iso cp 3 FAIL 4 words vs 5 basis elements"]
+
+
+def test_omega_coalgebra_failure_witness():
+    # adding a product to g(v2_0) makes omega(v2_0) non-primitive
+    tb = tb_cp(3)
+    prod = P("{[d,d]}")
+    om = Omega(tb, g=lambda p, n: p.scale(Fraction(1, n))
+               + (unit(prod) if n == 2 else LinComb()))
+    assert _failures(HopfIso(tb, om).run_checks()) == [
+        "omega-coalgebra cp 3 FAIL w=v2_0",
+        "varpi-primitives cp 3 FAIL letter=v2_0",
+    ]
+
+
+def test_varpi_primitives_failure_witness():
+    # g = the primitive itself is a right inverse only in degree 1
+    tb = tb_cp(3)
+    iso = HopfIso(tb, Omega(tb, g=lambda p, n: p))
+    assert _failures(iso.run_checks()) == [
+        "varpi-primitives cp 3 FAIL letter=v2_0"]
+
+
+def test_hopf_iso_failure_witness():
+    # varpi forced to zero on the one-vertex tree
+    iso = HopfIso(tb_cp(3))
+    iso._varpi[TUN] = LinComb()
+    assert _failures(iso.run_checks()) == [
+        "hopf-iso cp 1 FAIL rank 0 < 1",
+        "hopf-iso cp 2 FAIL rank 1 < 2",
+        "hopf-iso cp 3 FAIL rank 2 < 5",
+        "varpi-primitives cp 3 FAIL letter=v1_0",
+    ]
+
+
+def test_failing_slice_is_ranked_once(monkeypatch):
+    from comprelie import rigidity
+    ranked = []
+    real_rank = rigidity.rank
+
+    def counting_rank(m):
+        ranked.append(len(m))
+        return real_rank(m)
+
+    monkeypatch.setattr(rigidity, "rank", counting_rank)
+    iso = HopfIso(tb_cp(3))
+    iso._varpi[TUN] = LinComb()
+    assert not any(r.ok for r in iso.check_iso())
+    assert ranked == [1, 2, 5]
+
+
+def test_hopf_multiplicative_failure_witness():
+    # a psi that fixes the product {[d,d]} instead of killing it
+    tb = tb_cp(3)
+    prod = P("{[d,d]}")
+    tb._psi[prod] = unit(prod)
+    assert _failures(HopfIso(tb).run_checks()) == [
+        "varpi-primitives cp 3 FAIL letter=v2_0",
+        "hopf-multiplicative cp 3 FAIL x={[d]} y={[d]}",
+    ]
+
+
+def test_hopf_projection_and_coalgebra_failure_witnesses():
+    iso = HopfIso(tb_cp(3))
+    iso._F[iso.tb.alg.unit] = LinComb()
+    assert _failures(iso.run_checks()) == [
+        "hopf-projection cp 3 FAIL unit image",
+        "hopf-coalgebra cp 3 FAIL x={[d]}",
+        "hopf-multiplicative cp 3 FAIL x={} y={[d]}",
+    ]
+    iso = HopfIso(tb_cp(3))
+    iso._F[TDEUX] = iso.F_k(TDEUX) + unit(("v2_0",))
+    assert _failures(iso.run_checks()) == [
+        "hopf-projection cp 3 FAIL x={[d([d])]}",
+        "hopf-coalgebra cp 3 FAIL x={[d([d([d])])]}",
+        "hopf-multiplicative cp 3 FAIL x={[d]} y={[d([d])]}",
+    ]
+    iso = HopfIso(tb_cp(3))
+    iso._F[TDEUX] = iso.F_k(TDEUX) + unit(("v1_0", "v1_0"))
+    assert _failures(iso.run_checks()) == [
+        "hopf-coalgebra cp 3 FAIL x={[d([d])]}",
+        "hopf-multiplicative cp 3 FAIL x={[d]} y={[d([d])]}",
+    ]
+
+
 # --- the two-label obstruction ----------------------------------------------------
 
 def test_obstruction_two_labels_infeasible():
