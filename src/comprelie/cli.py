@@ -21,7 +21,8 @@ are dot-separated letters with `eps` for the empty word.
 Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
 unparseable input (including negative degree-like flags, count-like flags
 out of range: --labels, --samples or --jobs below 1, --cap below 0, and an
---alphabet with no letter), 3 resource bound exceeded (including input
+--alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a repeated
+letter), 3 resource bound exceeded (including input
 nested too deeply for the recursion limit).
 Degree-like flags above 5 need --force; the COMPRELIE_MAXDEG environment
 variable (default 7) is a hard ceiling.  Identical invocations produce
@@ -45,7 +46,7 @@ from .ptree import (ParseError, enum_one_rooted, enum_partitioned,
                     enum_plain_forests, enum_plain_trees, is_partitioned_tree,
                     parse, serialize)
 from .rigidity import HopfIso, Omega, TruncatedBialgebra, cofree_obstruction
-from .shuffle import fmt_word, parse_word
+from .shuffle import _LETTER_RE, fmt_word, parse_word
 from .ucp import cm_delta_closed, cm_x, delta_perm, kernel_delta_dim
 
 SOFT_BOUND = 5
@@ -84,14 +85,20 @@ def at_least(value: int, low: int, what: str) -> int:
 
 
 def labels_from(args) -> tuple:
-    """--alphabet a,b,c wins and must name a letter; else --labels k
-    (at least 1) means d1..dk."""
+    """--alphabet a,b,c wins and must name distinct [A-Za-z0-9_]+ letters
+    (blank parts dropped); else --labels k (at least 1) means d1..dk."""
     if args.alphabet is None:
         k = at_least(args.labels, 1, "--labels")
         return tuple(f"d{i}" for i in range(1, k + 1))
     labels = tuple(p.strip() for p in args.alphabet.split(",") if p.strip())
     if not labels:
         raise CliError(f"--alphabet {args.alphabet!r} names no letter")
+    for letter in labels:
+        if not _LETTER_RE.fullmatch(letter):
+            raise CliError(f"--alphabet letter {letter!r} is not "
+                           "[A-Za-z0-9_]+")
+    if len(set(labels)) < len(labels):
+        raise CliError(f"--alphabet {args.alphabet!r} repeats a letter")
     return labels
 
 
@@ -289,7 +296,7 @@ def cmd_check(args) -> int:
     at_least(args.samples, 1, "--samples")
     names = list(_CHECK_ORDER) if args.algebra == "all" else [args.algebra]
     labels = labels_from(args)
-    alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
+    alphabet = labels if args.alphabet else None
     abc = (tuple(parse_scalar(p) for p in args.abc.split(","))
            if args.abc else None)
     if abc is not None and len(abc) != 3:

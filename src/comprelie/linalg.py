@@ -1,58 +1,72 @@
 """Exact linear algebra over the rationals.
 
-Two representations are used:
+One representation and one kernel.  A matrix is a list of sparse rows,
+dicts column -> coefficient with zeros absent, and ``rref`` is the only
+elimination loop; rank, nullspace, solve and invert read their answers off
+its result.  The rows the package eliminates are mostly zero (kernel
+dimensions of coproduct-like maps, the grafting images behind omega), so
+a row costs what it holds, not the width of the slice.
 
-* sparse rows: dicts column-key -> Fraction, for rank computations where
-  the ambient basis is large but each row touches few columns (kernel
-  dimensions of coproduct-like maps);
-* dense rows: lists of Fraction, for the small square/rectangular systems
-  in the rigidity constructions (echelon form, nullspace, solve).
-
-Both use plain Fraction arithmetic.  Dense elimination is the bottleneck
-of the rigidity pipeline: in profiles `rref` (under `invert`, `rank` and
-`nullspace`) takes 55-90% of the time of `rigidity iso`, and Bareiss or
-modular elimination ranked its 134x134 degree-6 omega matrix for `cp`
-more than ten times faster.
+Each row's pivot is its least column.  Columns therefore only need to be
+hashable and mutually comparable (slice positions, tree keys, words), the
+choice is deterministic without a sort key, and eliminating a row against
+a pivot never touches a column left of that pivot, so a row's least column
+only grows until it becomes a new pivot.  The reduced echelon form is
+unique, so the result does not depend on the order of the rows; ``nullspace``
+and ``solve`` number their columns 0..ncols-1, which fixes the order of the
+kernel basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
-# ---------------------------------------------------------------------------
-# Sparse Gaussian elimination.
-# ---------------------------------------------------------------------------
+def rref(rows: list) -> dict:
+    """Reduced row echelon form of the dict rows: {pivot column: row},
+    each row with 1 at its pivot and 0 at every other pivot column.
 
-def sparse_rank(rows: Iterable[dict]) -> int:
-    """Rank of the matrix whose rows are dicts column -> coeff.
-
-    Incremental elimination: keep a dict pivot-column -> reduced row and
-    reduce each incoming row against it.  Column keys only need to be
-    hashable.
+    Forward elimination reduces each incoming row against the pivot rows so
+    far until its least column is new; back-substitution then runs once,
+    in descending pivot order, so each row subtracts only rows that are
+    already fully reduced.
     """
-    pivots: dict[Hashable, dict] = {}
-    rank = 0
+    pivots: dict = {}
     for row in rows:
         row = {k: Fraction(c) for k, c in row.items() if c != 0}
         while row:
-            # Deterministic pivot choice keeps runs reproducible.
-            col = min(row, key=repr)
+            col = min(row)
             piv = pivots.get(col)
             if piv is None:
                 inv = 1 / row[col]
                 pivots[col] = {k: c * inv for k, c in row.items()}
-                rank += 1
                 break
-            factor = row[col]
-            for k, c in piv.items():
-                v = row.get(k, 0) - factor * c
-                if v == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = v
-    return rank
+            _axpy(row, -row[col], piv)
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for p in [p for p in row if p != col and p in pivots]:
+            _axpy(row, -row[p], pivots[p])
+    return pivots
+
+
+def _axpy(row: dict, factor, other: dict) -> None:
+    """row += factor * other, in place, dropping the zeros."""
+    for k, c in other.items():
+        v = row.get(k, 0) + factor * c
+        if v == 0:
+            row.pop(k, None)
+        else:
+            row[k] = v
+
+
+def rank(rows: list) -> int:
+    return len(rref(rows))
+
+
+def sparse_rank(rows: Iterable[dict]) -> int:
+    """Rank of rows given by any iterable (a kernel dimension's map)."""
+    return len(rref(list(rows)))
 
 
 def sparse_nullity(rows: Iterable[dict], dim: int) -> int:
@@ -60,93 +74,44 @@ def sparse_nullity(rows: Iterable[dict], dim: int) -> int:
     return dim - sparse_rank(rows)
 
 
-# ---------------------------------------------------------------------------
-# Dense elimination.  Matrices are lists of lists of Fraction.
-# ---------------------------------------------------------------------------
-
-def _as_fraction_matrix(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(c) for c in row] for row in m]
-
-
-def rref(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    a = _as_fraction_matrix(m)
-    if not a:
-        return a, []
-    nrows, ncols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [c * inv for c in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
-
-
-def rank(m: Sequence[Sequence]) -> int:
-    return len(rref(m)[1])
-
-
-def nullspace(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : m x = 0}, one vector per free column."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    a, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+def nullspace(rows: list, ncols: int) -> list[dict]:
+    """Basis of {x : row · x = 0 for every row} over columns 0..ncols-1, one
+    vector per free column in increasing order, with 1 at that column."""
+    red = rref(rows)
     basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][j]
-        basis.append(v)
+    for j in range(ncols):
+        if j not in red:
+            v = {j: Fraction(1)}
+            v.update((pc, -r[j]) for pc, r in red.items() if j in r)
+            basis.append(v)
     return basis
 
 
-def solve(m: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
-    """One solution of m x = b, or None if inconsistent.
+def solve(rows: list, b: Sequence, ncols: int) -> Optional[dict]:
+    """One solution {column: value} of row_i · x = b_i over columns
+    0..ncols-1, free variables 0, or None if the system is inconsistent.
 
-    Free variables are set to 0.  (Exact arithmetic: inconsistency is a
-    genuine certificate, not a tolerance call.)
-    """
-    if not m:
-        return [] if all(c == 0 for c in b) else None
-    ncols = len(m[0])
-    aug = [list(row) + [bi] for row, bi in zip(m, b)]
-    a, pivots = rref(aug)
-    # A pivot in the appended column certifies inconsistency.
-    if ncols in pivots:
+    A pivot in the appended column ncols is an exact certificate of
+    inconsistency, not a tolerance call."""
+    red = rref([{**row, ncols: bi} for row, bi in zip(rows, b)])
+    if ncols in red:
         return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][ncols]
-    return x
+    return {pc: r[ncols] for pc, r in red.items() if ncols in r}
 
 
-def invert(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse of a square invertible matrix (asserts invertibility)."""
-    n = len(m)
-    assert all(len(row) == n for row in m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    a, pivots = rref(aug)
-    assert pivots == list(range(n)), "matrix is singular"
-    return [row[n:] for row in a]
+def invert(rows: list) -> list[dict]:
+    """Rows of the inverse of a square invertible matrix over columns
+    0..n-1 (asserts invertibility)."""
+    n = len(rows)
+    assert all(0 <= c < n for row in rows for c in row), "not square"
+    red = rref([{**row, n + i: 1} for i, row in enumerate(rows)])
+    assert sorted(red) == list(range(n)), "matrix is singular"
+    return [{c - n: x for c, x in red[j].items() if c >= n} for j in range(n)]
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    return [sum((Fraction(c) * Fraction(x) for c, x in zip(row, v)),
-                Fraction(0)) for row in m]
+def mat_vec(m: Mapping, v: Mapping) -> dict:
+    """Σ_k v[k]·m[k]: the combination of m's rows that v names."""
+    out: dict = {}
+    for k, c in v.items():
+        _axpy(out, c, m[k])
+    return out

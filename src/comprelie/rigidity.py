@@ -20,8 +20,13 @@ Pipeline, for a degree-truncated algebra A (bound N):
    the commutative product to the shuffle product, slice by slice, and is
    invertible; again checks, not assumptions.
 
-Everything is exact rational arithmetic.  The checks return LawReport
-values through ``axioms.first_witness`` (same shape as the axiom sweeps),
+Everything is exact rational arithmetic, and every linear-algebra step is
+one call into ``linalg``'s sparse elimination on dict rows: the primitives
+are a nullspace and g a solve, over equations in slice positions
+(``_system``); omega⁻¹ is one inverse per degree, kept as a key -> word
+table and applied with ``mat_vec``; the iso checks rank the omega and F
+images as they are.  Only the printed ``matrix`` methods build dense rows.
+The checks return LawReport values through ``axioms.first_witness`` (same shape as the axiom sweeps),
 so a failed property names its witness.
 
 The last section probes the converse: on the counter algebra with two
@@ -119,19 +124,12 @@ class TruncatedBialgebra:
     # -- coordinates ---------------------------------------------------------
 
     def index(self, n: int) -> dict:
+        """Slice key -> its position in the degree-n basis."""
         idx = self._index.get(n)
         if idx is None:
             idx = self._index[n] = {k: i for i, k in
                                     enumerate(self.slices[n])}
         return idx
-
-    def coords(self, x: LinComb, n: int) -> list[Fraction]:
-        """Coordinate vector of a homogeneous element over the slice basis."""
-        idx = self.index(n)
-        vec = [Fraction(0)] * len(idx)
-        for k, c in x.items():
-            vec[idx[k]] += c
-        return vec
 
     def psi_k(self, k) -> LinComb:
         out = self._psi.get(k)
@@ -153,22 +151,35 @@ def primitive_basis(tb: TruncatedBialgebra, n: int) -> list[LinComb]:
     if n > tb.N:
         raise ValueError(f"degree {n} beyond bound {tb.N}")
     if n not in tb._prim:
-        keys = tb.slices[n]
-        if n == 0 or not keys:
-            tb._prim[n] = []
-        else:
-            reds = [dict(tb.reduced_k(k).items()) for k in keys]
-            ks = tb.alg.key_str
-            pairs = sorted({p for r in reds for p in r},
-                           key=lambda p: (ks(p[0]), ks(p[1])))
-            if pairs:
-                vecs = nullspace([[r.get(p, 0) for r in reds]
-                                  for p in pairs])
-            else:  # every reduced coproduct vanished: the whole slice
-                vecs = [[Fraction(int(i == j)) for j in range(len(keys))]
-                        for i in range(len(keys))]
-            tb._prim[n] = [LinComb(zip(keys, v)) for v in vecs]
+        keys = [] if n == 0 else tb.slices[n]
+        rows, _ = _system([tb.reduced_k(k) for k in keys], LinComb())
+        tb._prim[n] = [_over(keys, v) for v in nullspace(rows, len(keys))]
     return tb._prim[n]
+
+
+def _system(images: list, target: LinComb) -> tuple[list, list]:
+    """The equations of sum_j x_j images[j] = target: one row
+    {position j: coeff} per key that an image or the target touches, and
+    the target's coefficient there.  Columns are positions, not keys, so
+    the kernel basis follows the order of the images."""
+    eqs: dict = {k: {} for k in target}
+    for j, im in enumerate(images):
+        for k, c in im.items():
+            eqs.setdefault(k, {})[j] = c
+    return list(eqs.values()), [target[k] for k in eqs]
+
+
+def _over(keys: list, v: dict) -> LinComb:
+    """The combination of keys whose coordinates by position are v."""
+    return LinComb((keys[j], c) for j, c in v.items())
+
+
+def _dense(x: LinComb, idx: dict) -> list[Fraction]:
+    """x as a printed matrix row over the positions idx gives its keys."""
+    vec = [Fraction(0)] * len(idx)
+    for k, c in x.items():
+        vec[idx[k]] += c
+    return vec
 
 
 def _length1(x: LinComb) -> LinComb:
@@ -180,12 +191,13 @@ def _length1(x: LinComb) -> LinComb:
     return out
 
 
-def _iso_witness(matrix: list, ncols: int, rows: str,
+def _iso_witness(images: list, ncols: int, rows: str,
                  cols: str) -> Optional[str]:
-    """Why the matrix is not square of full rank (ranked once), or None."""
-    if len(matrix) != ncols:
-        return f"{len(matrix)} {rows} vs {ncols} {cols}"
-    r = rank(matrix)
+    """Why the images, as matrix rows, are not square of full rank (ranked
+    once), or None."""
+    if len(images) != ncols:
+        return f"{len(images)} {rows} vs {ncols} {cols}"
+    r = rank(images)
     return None if r == ncols else f"rank {r} < {ncols}"
 
 
@@ -225,8 +237,7 @@ class Omega:
                    for name in self.letters}
         self._words: dict[int, list[Word]] = {}
         self._omega: dict[Word, LinComb] = {}
-        self._matrix: dict[int, list[list[Fraction]]] = {}
-        self._inv_t: dict[int, list[list[Fraction]]] = {}
+        self._inv: dict[int, dict] = {}
 
     def _f(self, x: LinComb) -> LinComb:
         return self.tb.prelie(x, unit(self.tb.alg.unit))
@@ -241,14 +252,12 @@ class Omega:
         if self._f(p) == p.scale(n):
             return p.scale(Fraction(1, n))
         keys = self.tb.slices[n]
-        cols = [self.tb.coords(self._f(unit(k)), n) for k in keys]
-        m = [[cols[j][i] for j in range(len(keys))]
-             for i in range(len(keys))]
-        sol = solve(m, self.tb.coords(p, n))
+        rows, b = _system([self._f(unit(k)) for k in keys], p)
+        sol = solve(rows, b, len(keys))
         if sol is None:
             raise ValueError(
                 f"f is not surjective onto primitives in degree {n}")
-        return LinComb(zip(keys, sol))
+        return _over(keys, sol)
 
     def words(self, n: int) -> list[Word]:
         """All letter words of total degree n, in letter order."""
@@ -286,31 +295,29 @@ class Omega:
         return x.map_linear(self.apply_word)
 
     def matrix(self, n: int) -> list[list[Fraction]]:
-        """Rows indexed by words(n), columns by the degree-n slice."""
-        got = self._matrix.get(n)
-        if got is None:
-            got = [self.tb.coords(self.apply_word(w), n)
-                   for w in self.words(n)]
-            self._matrix[n] = got
-        return got
+        """For printing: rows indexed by words(n), columns by the slice."""
+        idx = self.tb.index(n)
+        return [_dense(self.apply_word(w), idx) for w in self.words(n)]
 
     def inverse(self, y: LinComb, n: int) -> LinComb:
         """Word expansion of a homogeneous degree-n element."""
-        inv_t = self._inv_t.get(n)
-        if inv_t is None:
-            m = self.matrix(n)
-            mt = [[m[i][j] for i in range(len(m))] for j in range(len(m))]
-            inv_t = self._inv_t[n] = invert(mt)
-        return LinComb(zip(self.words(n),
-                           mat_vec(inv_t, self.tb.coords(y, n))))
+        table = self._inv.get(n)
+        if table is None:
+            idx, words = self.tb.index(n), self.words(n)
+            inv = invert([{idx[k]: c for k, c in self.apply_word(w).items()}
+                          for w in words])
+            table = self._inv[n] = {
+                k: {words[i]: c for i, c in row.items()}
+                for k, row in zip(self.tb.slices[n], inv)}
+        return LinComb(mat_vec(table, y))
 
     # -- checks --------------------------------------------------------------
 
     def check_iso(self) -> list[LawReport]:
         """Per degree: as many words as slice elements, and full rank."""
         return [LawReport("omega-iso", self.tb.alg.name, n, _iso_witness(
-                    self.matrix(n), len(self.tb.slices[n]), "words",
-                    "basis elements"))
+                    [self.apply_word(w) for w in self.words(n)],
+                    len(self.tb.slices[n]), "words", "basis elements"))
                 for n in range(1, self.tb.N + 1)]
 
     def check_coalgebra(self) -> LawReport:
@@ -372,15 +379,9 @@ class HopfIso:
         return x.map_linear(self.F_k)
 
     def matrix(self, n: int) -> list[list[Fraction]]:
-        """Rows indexed by the degree-n slice, columns by words(n)."""
-        widx = {w: j for j, w in enumerate(self.omega.words(n))}
-        rows = []
-        for k in self.tb.slices[n]:
-            vec = [Fraction(0)] * len(widx)
-            for w, c in self.F_k(k).items():
-                vec[widx[w]] += c
-            rows.append(vec)
-        return rows
+        """For printing: rows indexed by the slice, columns by words(n)."""
+        idx = {w: j for j, w in enumerate(self.omega.words(n))}
+        return [_dense(self.F_k(k), idx) for k in self.tb.slices[n]]
 
     # -- checks --------------------------------------------------------------
 
@@ -423,8 +424,8 @@ class HopfIso:
     def check_iso(self) -> list[LawReport]:
         """Full rank of the F matrix on each slice."""
         return [LawReport("hopf-iso", self.tb.alg.name, n, _iso_witness(
-                    self.matrix(n), len(self.omega.words(n)), "keys",
-                    "words"))
+                    [self.F_k(k) for k in self.tb.slices[n]],
+                    len(self.omega.words(n)), "keys", "words"))
                 for n in range(1, self.tb.N + 1)]
 
     def check_primitives(self) -> LawReport:
@@ -465,13 +466,6 @@ def cofree_obstruction(labels=("d", "e"),
     tb = TruncatedBialgebra(alg, 2)
     target = (parse("{[%s]}" % labels[0]), parse("{[%s]}" % labels[-1]))
     keys = tb.slices[2]
-    reds = [dict(tb.reduced_k(k).items()) for k in keys]
-    ks = alg.key_str
-    pairs = sorted({p for r in reds for p in r} | {target},
-                   key=lambda p: (ks(p[0]), ks(p[1])))
-    m = [[r.get(p, 0) for r in reds] for p in pairs]
-    b = [Fraction(int(p == target)) for p in pairs]
-    sol = solve(m, b)
-    if sol is None:
-        return None
-    return LinComb(zip(keys, sol))
+    rows, b = _system([tb.reduced_k(k) for k in keys], unit(target))
+    sol = solve(rows, b, len(keys))
+    return None if sol is None else _over(keys, sol)

@@ -7,7 +7,9 @@ round; the tests compare the two.
 * ``cm_delta_oracle`` gates ``ucp.cm_delta_closed``;
 * ``bullet_tvf_shuffles`` gates ``shuffle.bullet_tvf``;
 * ``bullet_varpi`` (over all ``splits``) gates ``shuffle.bullet_varpi``
-  and the two products built on it.
+  and the two products built on it;
+* ``dense_rref``/``dense_nullspace``/``dense_solve``, Gauss-Jordan on
+  lists of Fractions, gate the sparse kernel of ``linalg``.
 
 The tensor-leg helpers at the end reassociate and permute tensor keys for
 the coassociativity and cocommutativity tests.
@@ -15,11 +17,11 @@ the coassociativity and cocommutativity tests.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
-from comprelie.linalg import solve
 from comprelie.oudom import Extension
 from comprelie.ptree import (
     EMPTY, PForest, _multisets, build_root, canonicalize, is_partitioned_tree,
@@ -32,6 +34,71 @@ from comprelie.ucp import (
     _power_map, cm_x, coproduct_hck, cp_bullet_with_map, mul_disjoint_lc,
     mul_merge_lc,
 )
+
+
+# ---------------------------------------------------------------------------
+# Dense Gauss-Jordan elimination.  Matrices are lists of lists.
+# ---------------------------------------------------------------------------
+
+def dense_rref(m: Sequence[Sequence]) -> tuple[list[list[Fraction]],
+                                               list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    a = [[Fraction(c) for c in row] for row in m]
+    if not a:
+        return a, []
+    nrows, ncols = len(a), len(a[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [c * inv for c in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def dense_nullspace(m: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Basis of the right kernel {x : m x = 0}, one vector per free column."""
+    if not m:
+        return []
+    ncols = len(m[0])
+    a, pivots = dense_rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][j]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(m: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
+    """One solution of m x = b with free variables 0, or None if
+    inconsistent."""
+    if not m:
+        return [] if all(c == 0 for c in b) else None
+    ncols = len(m[0])
+    a, pivots = dense_rref([list(row) + [bi] for row, bi in zip(m, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = a[r][ncols]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +190,7 @@ def cm_delta_oracle(word: Word, letters) -> LinComb:
         row_list = sorted(rows, key=repr)
         mat = [[col[r] for col in columns] for r in row_list]
         rhs = [sub[r] for r in row_list]
-        coeffs = solve(mat, rhs)
+        coeffs = dense_solve(mat, rhs)
         assert coeffs is not None, "coproduct left the span of X-products"
         for (m1, m2), c in zip(pairs, coeffs):
             if c != 0 and len(m1) == 1 and len(m2) == 1:

@@ -334,6 +334,38 @@ def test_count_flags_at_their_least_value(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "{[x]}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enum", "--n", "1", "--alphabet", "d e,f(x"],
+    ["enum", "--n", "2", "--alphabet", "d,d"],
+    ["rigidity", "iso", "--algebra", "cp", "--maxdeg", "2", "--alphabet",
+     "d,d"],
+    ["check", "--algebra", "tvf", "--maxdeg", "1", "--alphabet", "a,b.c"],
+    ["rigidity", "obstruction", "--alphabet", "d, e ,d"],
+])
+def test_bad_alphabet_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --alphabet ")
+
+
+def test_word_algebras_parse_the_alphabet_like_every_verb(capsys,
+                                                        monkeypatch):
+    # blank parts and the spaces around letters are dropped, as for trees
+    swept = []
+    real = cli.handle_for
+
+    def recording(name, labels, alphabet, abc):
+        swept.append(alphabet)
+        return real(name, labels, alphabet, abc)
+
+    monkeypatch.setattr(cli, "handle_for", recording)
+    for alphabet in ("a,b", "a, b", "a,,b", " a ,b,"):
+        assert main(["check", "--algebra", "tvf", "--maxdeg", "1",
+                     "--alphabet", alphabet]) == 0
+    assert swept == [("a", "b")] * 4
+
+
 DEEP_PATH = "{[" + "d([" * 399 + "d" + "])" * 399 + "]}"
 
 

@@ -197,7 +197,7 @@ def test_theta_bijective_on_slices():
         tgt = weighted_forests(n, theta_alphabet(n, ("d",)))
         images = [theta(t) for t in src]
         keys = sorted({k for im in images for k in im}, key=repr)
-        mat = [[im[k] for k in keys] for im in images]
+        mat = [{j: im[k] for j, k in enumerate(keys)} for im in images]
         assert len(src) == len(tgt)
         assert rank(mat) == len(src)
         assert set(keys) <= set(tgt)
@@ -208,7 +208,7 @@ def test_theta_two_decorations_slice():
     tgt = weighted_forests(3, theta_alphabet(3, ("d", "e")))
     images = [theta(t) for t in src]
     keys = sorted({k for im in images for k in im}, key=repr)
-    mat = [[im[k] for k in keys] for im in images]
+    mat = [{j: im[k] for j, k in enumerate(keys)} for im in images]
     assert len(src) == len(tgt) == rank(mat)
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from comprelie.lincomb import (
@@ -8,7 +9,7 @@ from comprelie.lincomb import (
 )
 from comprelie import linalg
 
-from oracles import tensor_swap
+from oracles import dense_nullspace, dense_rref, dense_solve, tensor_swap
 
 
 def test_zero_pruning():
@@ -114,39 +115,108 @@ def test_sparse_rank():
     assert linalg.sparse_rank([{}]) == 0
 
 
+def _rows(m):
+    return [dict(enumerate(row)) for row in m]
+
+
 def test_rref_and_rank():
     m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert linalg.rank(m) == 2
-    r, piv = linalg.rref(m)
+    assert linalg.rank(_rows(m)) == 2
+    piv = sorted(linalg.rref(_rows(m)))
     assert piv == [0, 1]
 
 
 def test_nullspace():
     m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    ns = linalg.nullspace(m)
+    ns = linalg.nullspace(_rows(m), 3)
     assert len(ns) == 1
     v = ns[0]
     for row in m:
-        assert sum(Fraction(c) * x for c, x in zip(row, v)) == 0
+        assert sum(Fraction(c) * v.get(j, 0) for j, c in enumerate(row)) == 0
 
 
 def test_solve():
     m = [[2, 0], [0, 3]]
-    assert linalg.solve(m, [4, 9]) == [Fraction(2), Fraction(3)]
-    assert linalg.solve([[1, 1], [1, 1]], [0, 1]) is None
-    x = linalg.solve([[1, 1]], [5])
-    assert x is not None and sum(x) == 5
+    assert linalg.solve(_rows(m), [4, 9], 2) == {0: Fraction(2), 1: Fraction(3)}
+    assert linalg.solve(_rows([[1, 1], [1, 1]]), [0, 1], 2) is None
+    x = linalg.solve(_rows([[1, 1]]), [5], 2)
+    assert x is not None and sum(x.values()) == 5
 
 
 def test_invert():
     m = [[1, 2], [3, 5]]
-    inv = linalg.invert(m)
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)]
+    inv = linalg.invert(_rows(m))
+    prod = [[sum(m[i][k] * inv[k].get(j, 0) for k in range(2))
+             for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                 min_size=1, max_size=4))
 def test_rank_nullity(m):
-    assert linalg.rank(m) + len(linalg.nullspace(m)) == 3
+    assert linalg.rank(_rows(m)) + len(linalg.nullspace(_rows(m), 3)) == 3
+
+
+# Mostly zeros, so that random matrices come out sparse and often singular.
+_Q = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), 5])
+
+
+@st.composite
+def _matrices(draw):
+    """Rectangular rational matrices, some rows repeated combinations of
+    others and some all zero."""
+    ncols = draw(st.integers(1, 5))
+    m = draw(st.lists(st.lists(_Q, min_size=ncols, max_size=ncols),
+                      min_size=1, max_size=5))
+    pick = st.integers(0, len(m) - 1)
+    for i, j, c in draw(st.lists(st.tuples(pick, pick, _Q), max_size=2)):
+        m.append([x + c * y for x, y in zip(m[i], m[j])])
+    if draw(st.booleans()):
+        m.insert(draw(st.integers(0, len(m))), [0] * ncols)
+    return m
+
+
+def _nonzero(vec):
+    return {j: c for j, c in enumerate(vec) if c != 0}
+
+
+def _product(a, m):
+    """a · m, for a as dict rows and m as lists."""
+    n = len(m[0])
+    return [[sum(c * m[k][j] for k, c in row.items()) for j in range(n)]
+            for row in a]
+
+
+@given(_matrices(), st.data())
+def test_sparse_kernel_matches_dense_reference(m, data):
+    ncols = len(m[0])
+    rows = _rows(m)
+    a, piv = dense_rref(m)
+    red = linalg.rref(rows)
+    assert red == {pc: _nonzero(a[r]) for r, pc in enumerate(piv)}
+    assert sorted(red) == piv
+    assert linalg.rank(rows) == len(piv)
+    assert linalg.nullspace(rows, ncols) == [_nonzero(v)
+                                             for v in dense_nullspace(m)]
+    b = data.draw(st.lists(_Q, min_size=len(m), max_size=len(m)))
+    x = dense_solve(m, b)
+    assert linalg.solve(rows, b, ncols) == (None if x is None
+                                            else _nonzero(x))
+    if len(m) == ncols:
+        if len(piv) == ncols:
+            assert _product(linalg.invert(rows), m) == \
+                [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+        else:
+            with pytest.raises(AssertionError):
+                linalg.invert(rows)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(_Q, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_invert_is_a_left_inverse(m):
+    # strictly diagonally dominant, hence invertible
+    n = len(m)
+    m = [[c + 100 * (i == j) for j, c in enumerate(row)]
+         for i, row in enumerate(m)]
+    assert _product(linalg.invert(_rows(m)), m) == \
+        [[int(i == j) for j in range(n)] for i in range(n)]

@@ -1,11 +1,13 @@
 """Primitive slices, the convolution-log projection, and the constructive
 coalgebra/Hopf isomorphisms, pinned on the two tree bialgebras."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from comprelie.cli import main
 from comprelie.handles import (
     cp_handle, dual_cp_handle, hck_handle, ucp_handle,
 )
@@ -352,3 +354,25 @@ def test_obstruction_one_label_solvable():
     assert x == unit(P("{[d,d]}")).scale(Fraction(1, 2))
     tb = TruncatedBialgebra(ucp_handle(labels=("d",), counter_cap=2), 2)
     assert tb.reduced(x) == unit((TUN, TUN))
+
+
+# --- the printed pipeline, pinned ------------------------------------------------
+
+@pytest.mark.parametrize("argv, digest", [
+    ("rigidity iso --algebra cp --maxdeg 4",
+     "b011a40a35981e24be5623c28f80ff2ac9e3dbfe6d1d56b66e6c1623939b63ba"),
+    ("rigidity iso --algebra hck --maxdeg 5",
+     "912fa3f6f86f7afdd198266edbb5e1d58db996fe6d504137a6c565d2908b522a"),
+    ("rigidity iso --algebra cp --maxdeg 2 --labels 2",
+     "0ed758da9f08244c4fcd92dfa396a650508dbb0416155f321b6c54710591b732"),
+    ("rigidity obstruction --labels 1",
+     "9d4fdde7de508ad17d0b10e57138937d5833aae0314bd67bd0d513b77324dd5d"),
+    ("rigidity obstruction --labels 2",
+     "9ecc6fd52c6e6b8c3bce4718e62655510a376fa89ef551c1ba7f689ea7571bae"),
+])
+def test_rigidity_stdout_is_pinned(capsys, argv, digest):
+    # the omega and F matrices are printed over the primitive letters, so a
+    # kernel returning another basis of the primitives changes the digest
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
