@@ -23,7 +23,10 @@ unparseable input (including negative degree-like flags, count-like flags
 out of range: --labels, --samples or --jobs below 1, --cap below 0, and an
 --alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a repeated
 letter), 3 resource bound exceeded (including input
-nested too deeply for the recursion limit).
+nested too deeply for the recursion limit), 141 (128 + SIGPIPE, what a
+shell reports for a process that SIGPIPE ends) when the reader closes
+stdout before the output is written, as `| head` does; the rest of the
+output is dropped without a traceback.
 Degree-like flags above 5 need --force; the COMPRELIE_MAXDEG environment
 variable (default 7) is a hard ceiling.  Identical invocations produce
 byte-identical output.
@@ -50,6 +53,7 @@ from .shuffle import _LETTER_RE, fmt_word, parse_word
 from .ucp import cm_delta_closed, cm_x, delta_perm, kernel_delta_dim
 
 SOFT_BOUND = 5
+EXIT_CLOSED_PIPE = 141
 WORD_ALGEBRAS = ("tvf", "degneg1")
 
 
@@ -428,6 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # Also after --help: a reader that has gone shows up here, not
+            # in the flush at interpreter exit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so that the flush at
+        # interpreter exit cannot raise the same error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -2,10 +2,15 @@
 
 One representation and one kernel.  A matrix is a list of sparse rows,
 dicts column -> coefficient with zeros absent, and ``rref`` is the only
-elimination loop; rank, nullspace, solve and invert read their answers off
-its result.  The rows the package eliminates are mostly zero (kernel
+elimination loop: a forward pass to an echelon form, then one
+back-substitution.  The rank is the number of pivots of the forward pass
+alone; nullspace, solve and invert read their answers off the full
+reduced form.  The rows the package eliminates are mostly zero (kernel
 dimensions of coproduct-like maps, the grafting images behind omega), so
-a row costs what it holds, not the width of the slice.
+a row costs what it holds, not the width of the slice.  Coefficients are
+ints or Fractions; a row becomes Fractions only when its pivot is not 1
+and must be divided by it, so integer rows with unit pivots, the common
+case of a kernel dimension's map, eliminate in int arithmetic.
 
 Each row's pivot is its least column.  Columns therefore only need to be
 hashable and mutually comparable (slice positions, tree keys, words), the
@@ -27,26 +32,35 @@ def rref(rows: list) -> dict:
     """Reduced row echelon form of the dict rows: {pivot column: row},
     each row with 1 at its pivot and 0 at every other pivot column.
 
-    Forward elimination reduces each incoming row against the pivot rows so
-    far until its least column is new; back-substitution then runs once,
-    in descending pivot order, so each row subtracts only rows that are
-    already fully reduced.
+    The forward pass leaves an echelon form; back-substitution then runs
+    once, in descending pivot order, so each row subtracts only rows that
+    are already fully reduced.
     """
-    pivots: dict = {}
-    for row in rows:
-        row = {k: Fraction(c) for k, c in row.items() if c != 0}
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = 1 / row[col]
-                pivots[col] = {k: c * inv for k, c in row.items()}
-                break
-            _axpy(row, -row[col], piv)
+    pivots = _echelon(rows)
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for p in [p for p in row if p != col and p in pivots]:
             _axpy(row, -row[p], pivots[p])
+    return pivots
+
+
+def _echelon(rows: Iterable[dict]) -> dict:
+    """Forward elimination: {pivot column: row whose least column is that
+    pivot, with coefficient 1}.  Each incoming row is reduced against the
+    pivot rows so far until its least column is new."""
+    pivots: dict = {}
+    for row in rows:
+        row = {k: c for k, c in row.items() if c != 0}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                lead = row[col]
+                if lead != 1:
+                    row = {k: Fraction(c) / lead for k, c in row.items()}
+                pivots[col] = row
+                break
+            _axpy(row, -row[col], piv)
     return pivots
 
 
@@ -61,12 +75,14 @@ def _axpy(row: dict, factor, other: dict) -> None:
 
 
 def rank(rows: list) -> int:
-    return len(rref(rows))
+    """Number of pivots of the forward pass; the rank needs no
+    back-substitution."""
+    return len(_echelon(rows))
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
     """Rank of rows given by any iterable (a kernel dimension's map)."""
-    return len(rref(list(rows)))
+    return len(_echelon(rows))
 
 
 def sparse_nullity(rows: Iterable[dict], dim: int) -> int:

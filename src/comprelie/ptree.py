@@ -553,19 +553,38 @@ def contract(tree: PForest, partition: list[frozenset]) -> PForest:
 # vertex count; `dual.weighted_forests` weighs each generator label of
 # `theta` by the vertex count of its generator.  Each family is built size
 # by size as multisets over the canonically sorted smaller families, so it
-# comes out canonical and needs no dedup pass.
+# comes out canonical and needs no dedup pass.  `_multisets` steps through a
+# table of the next item that still fits, so past building that table its
+# cost follows the multisets it yields, not items times recursion depth.
 # ---------------------------------------------------------------------------
 
-def _multisets(items: list, sizes: list[int], total: int, start: int = 0):
-    """Multisets (as index-sorted tuples) of `items` with sizes summing to
-    `total`.  items must be sorted in canonical order."""
-    if total == 0:
-        yield ()
-        return
-    for i in range(start, len(items)):
-        if sizes[i] <= total:
-            for rest in _multisets(items, sizes, total - sizes[i], i):
+def _multisets(items: list, sizes: list[int], total: int):
+    """Multisets (as index-sorted tuples) of `items` with sizes >= 1 summing
+    to `total`, in lexicographic order of their index tuples.  items must be
+    sorted in canonical order."""
+    n = len(items)
+    # fits[t][i]: the least index j >= i with sizes[j] <= t, else n.  The
+    # items are in canonical order, not by size, so without this table
+    # every level of the recursion would scan all remaining items.
+    fits = []
+    for t in range(total + 1):
+        row = [n] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            row[i] = i if sizes[i] <= t else row[i + 1]
+        fits.append(row)
+
+    def grow(total: int, i: int):
+        if total == 0:
+            yield ()
+            return
+        row = fits[total]
+        i = row[i]
+        while i < n:
+            for rest in grow(total - sizes[i], i):
                 yield (items[i],) + rest
+            i = row[i + 1]
+
+    return grow(total, 0)
 
 
 class _Enum:

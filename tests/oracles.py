@@ -9,7 +9,8 @@ round; the tests compare the two.
 * ``bullet_varpi`` (over all ``splits``) gates ``shuffle.bullet_varpi``
   and the two products built on it;
 * ``dense_rref``/``dense_nullspace``/``dense_solve``, Gauss-Jordan on
-  lists of Fractions, gate the sparse kernel of ``linalg``.
+  lists of Fractions, gate the sparse kernel of ``linalg``;
+* ``multisets_brute_force`` gates ``ptree._multisets``.
 
 The tensor-leg helpers at the end reassociate and permute tensor keys for
 the coassociativity and cocommutativity tests.
@@ -18,7 +19,7 @@ the coassociativity and cocommutativity tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterator, Mapping, Sequence
 
 from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
@@ -99,6 +100,20 @@ def dense_solve(m: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
     for r, pc in enumerate(pivots):
         x[pc] = a[r][ncols]
     return x
+
+
+# ---------------------------------------------------------------------------
+# Weighted multisets by brute force.
+# ---------------------------------------------------------------------------
+
+def multisets_brute_force(items: list, sizes: list[int], total: int) -> list:
+    """Every multiset of `items` whose sizes (all >= 1) sum to `total`, as a
+    tuple of items in index order, sorted by its tuple of indices: all
+    index tuples of each length, filtered by their size sum."""
+    found = [ix for r in range(total + 1)
+             for ix in combinations_with_replacement(range(len(items)), r)
+             if sum(sizes[i] for i in ix) == total]
+    return [tuple(items[i] for i in ix) for ix in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -410,3 +411,27 @@ def test_module_entry_point():
                        cwd=SRC)
     assert r.returncode == 0
     assert r.stdout == "1*{[d([e])]}\n"
+
+
+@pytest.mark.parametrize("argv,first", [
+    # 111 kB of output, more than the pipe and both stdio buffers hold: the
+    # CLI is still printing when the reader closes its end
+    (["enum", "--n", "6", "--labels", "2", "--mode", "one-rooted", "--force"],
+     b"{[d1([d1([d1([d1([d1([d1])])])])])]}\n"),
+    # one line, still buffered when the reader has already gone
+    (["eval", "--algebra", "cp", "--op", "prelie", "{[d]}", "{[e]}"], None),
+    (["enum", "--help"], None),
+], ids=["printing", "buffered", "help"])
+def test_closed_stdout_exits_without_traceback(argv, first):
+    # stdout block-buffered, as Python leaves a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    p = subprocess.Popen([sys.executable, "-m", "comprelie.cli", *argv],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         cwd=SRC, env=env)
+    if first is not None:
+        assert p.stdout.readline() == first
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=60) == cli.EXIT_CLOSED_PIPE
+    assert err == b""

@@ -195,7 +195,7 @@ def test_sparse_kernel_matches_dense_reference(m, data):
     red = linalg.rref(rows)
     assert red == {pc: _nonzero(a[r]) for r, pc in enumerate(piv)}
     assert sorted(red) == piv
-    assert linalg.rank(rows) == len(piv)
+    assert linalg.rank(rows) == linalg.sparse_rank(iter(rows)) == len(piv)
     assert linalg.nullspace(rows, ncols) == [_nonzero(v)
                                              for v in dense_nullspace(m)]
     b = data.draw(st.lists(_Q, min_size=len(m), max_size=len(m)))

@@ -15,6 +15,8 @@ from comprelie.ptree import (
     set_partitions, ParseError,
 )
 
+from oracles import multisets_brute_force
+
 D1 = ("d",)
 D2 = ("d", "e")
 
@@ -136,10 +138,15 @@ ENUMS = {"partitioned": enum_partitioned, "one-rooted": enum_one_rooted,
          "plain-trees": enum_plain_trees, "plain-forests": enum_plain_forests}
 
 
+# Each row pins the literal counts at its top size, which also guards
+# `euler_counts`; the higher rows check every size up to n = 9/7/6.
 @pytest.mark.parametrize("labels,top,last", [
     (D1, 7, (444, 258, 48, 115)),
     (D2, 6, (5759, 3392, 916, 2058)),
     (("d", "e", "f"), 5, (6465, 3879, 1485, 3144)),
+    (D1, 9, (5318, 3049, 286, 719)),
+    (D2, 7, (36340, 21294, 4116, 9498)),
+    (("d", "e", "f"), 6, (57757, 34200, 9432, 20875)),
 ])
 def test_enum_counts_match_euler_transform(labels, top, last):
     expect = euler_counts([0, len(labels)], top)
@@ -149,7 +156,7 @@ def test_enum_counts_match_euler_transform(labels, top, last):
     assert tuple(expect[mode][top] for mode in ENUMS) == last
 
 
-@pytest.mark.parametrize("labels,top", [(D1, 7), (D2, 5)])
+@pytest.mark.parametrize("labels,top", [(D1, 7), (D2, 5), (D1, 9), (D2, 7)])
 def test_weighted_forest_counts_match_euler_transform(labels, top):
     from comprelie.dual import theta_alphabet, weighted_forests
     weights = generator_weights(len(labels), top)
@@ -161,6 +168,25 @@ def test_weighted_forest_counts_match_euler_transform(labels, top):
     # forests over the weighted generator alphabet, size by size
     assert expect == euler_counts([0, len(labels)], top)["partitioned"]
     assert expect == [len(enum_partitioned(n, labels)) for n in range(top + 1)]
+
+
+@given(st.lists(st.integers(1, 4), max_size=7), st.integers(0, 7))
+def test_multisets_match_brute_force(sizes, total):
+    # sizes drawn from 1..4 include alphabets with no size-1 item, as the
+    # generator alphabets of `dual.weighted_forests` have
+    items = [f"x{i}" for i in range(len(sizes))]
+    assert list(ptree._multisets(items, sizes, total)) == \
+        multisets_brute_force(items, sizes, total)
+
+
+def test_multisets_edge_cases():
+    assert list(ptree._multisets([], [], 0)) == [()]
+    assert list(ptree._multisets([], [], 3)) == []
+    assert list(ptree._multisets(["a", "b"], [2, 3], 0)) == [()]
+    assert list(ptree._multisets(["a", "b"], [2, 3], 1)) == []
+    assert list(ptree._multisets(["a", "b", "c"], [3, 2, 2], 6)) == [
+        ("a", "a"), ("b", "b", "b"), ("b", "b", "c"), ("b", "c", "c"),
+        ("c", "c", "c")]
 
 
 def test_enumeration_order_is_pinned():

@@ -23,8 +23,8 @@ from comprelie.ucp import (
 )
 
 from oracles import (
-    cm_delta_oracle, counter_elimination_recursive, tensor_flatten_left,
-    tensor_flatten_right, tensor_swap23,
+    cm_delta_oracle, counter_elimination_recursive, dense_rref,
+    tensor_flatten_left, tensor_flatten_right, tensor_swap23,
 )
 
 P = parse
@@ -394,6 +394,16 @@ def test_kernel_delta_dims():
         1, 1, 1, 2, 4, 14]
     assert [kernel_delta_dim(n, ("d", "e")) for n in range(1, 6)] == [
         2, 3, 6, 25, 122]
+
+
+def test_kernel_delta_dim_matches_dense_rank():
+    # the forward-pass rank behind kernel_delta_dim against the dense
+    # Gauss-Jordan reference, on the delta_perm rows of every tree
+    for n in range(1, 5):
+        rows = [delta_perm(t) for t in enum_partitioned(n, ("d", "e"))]
+        cols = sorted({k for r in rows for k in r}, key=repr)
+        _, piv = dense_rref([[r[k] for k in cols] for r in rows])
+        assert kernel_delta_dim(n, ("d", "e")) == len(rows) - len(piv)
 
 
 # --- Connes-Moscovici elements -----------------------------------------------
