@@ -20,13 +20,14 @@ are dot-separated letters with `eps` for the empty word.
 
 Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
 unparseable input (including negative degree-like flags, count-like flags
-out of range: --labels, --samples or --jobs below 1, --cap below 0, and an
+out of range: --labels, --samples or --jobs below 1, --cap below 0, an
 --alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a repeated
-letter), 3 resource bound exceeded (including input
-nested too deeply for the recursion limit), 141 (128 + SIGPIPE, what a
-shell reports for a process that SIGPIPE ends) when the reader closes
-stdout before the output is written, as `| head` does; the rest of the
-output is dropped without a traceback.
+letter, and a word with a letter outside its algebra's alphabet),
+3 resource bound exceeded (including input nested too deeply for the
+recursion limit), 141 (128 + SIGPIPE, what a shell reports for a process
+that SIGPIPE ends) when the reader closes stdout before the output is
+written, as `| head` does; the rest of the output is dropped without a
+traceback.
 Degree-like flags above 5 need --force; the COMPRELIE_MAXDEG environment
 variable (default 7) is a hard ceiling.  Identical invocations produce
 byte-identical output.
@@ -45,11 +46,11 @@ from .dual import diamond, diamond_down, psi_inverse, psi_map, theta
 from .handles import HANDLE_NAMES, get_handle
 from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
                       fmt_tensor2, parse_scalar, unit)
-from .ptree import (ParseError, enum_one_rooted, enum_partitioned,
+from .ptree import (LABEL_RE, ParseError, enum_one_rooted, enum_partitioned,
                     enum_plain_forests, enum_plain_trees, is_partitioned_tree,
                     parse, serialize)
 from .rigidity import HopfIso, Omega, TruncatedBialgebra, cofree_obstruction
-from .shuffle import _LETTER_RE, fmt_word, parse_word
+from .shuffle import fmt_word, parse_word
 from .ucp import cm_delta_closed, cm_x, delta_perm, kernel_delta_dim
 
 SOFT_BOUND = 5
@@ -98,7 +99,7 @@ def labels_from(args) -> tuple:
     if not labels:
         raise CliError(f"--alphabet {args.alphabet!r} names no letter")
     for letter in labels:
-        if not _LETTER_RE.fullmatch(letter):
+        if not LABEL_RE.fullmatch(letter):
             raise CliError(f"--alphabet letter {letter!r} is not "
                            "[A-Za-z0-9_]+")
     if len(set(labels)) < len(labels):
@@ -130,11 +131,21 @@ def parse_lincomb(text: str, parse_key: Callable) -> LinComb:
     return out
 
 
-def key_io(algebra: str) -> tuple:
-    """(parse, format) for the algebra's basis keys."""
-    if algebra in WORD_ALGEBRAS:
-        return parse_word, fmt_word
-    return parse, serialize
+def key_parser(alg) -> Callable:
+    """The parser of the handle's basis keys: trees, or words whose
+    letters must be in the handle's alphabet (its degree-1 basis)."""
+    if alg.name not in WORD_ALGEBRAS:
+        return parse
+    letters = {w[0] for w in alg.basis(1)}
+
+    def parse_key(text: str):
+        word = parse_word(text)
+        if not letters.issuperset(word):
+            raise CliError(f"{text!r} has a letter outside the {alg.name} "
+                           f"alphabet {','.join(sorted(letters))}")
+        return word
+
+    return parse_key
 
 
 def handle_for(name: str, labels: tuple, alphabet: Optional[tuple],
@@ -145,13 +156,6 @@ def handle_for(name: str, labels: tuple, alphabet: Optional[tuple],
             kw.update(zip("abc", abc))
         return get_handle(name, **kw)
     return get_handle(name, labels=labels)
-
-
-def parse_tree(text: str):
-    try:
-        return parse(text)
-    except ParseError as e:
-        raise CliError(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +180,13 @@ def cmd_enum(args) -> int:
 
 def cmd_eval(args) -> int:
     alg = handle_for(args.algebra, ("d",), None)
-    parse_key, key_str = key_io(args.algebra)
     op = alg.prelie if args.op == "prelie" else alg.mul
     if op is None:
         raise CliError(f"{args.algebra} has no commutative product")
+    parse_key = key_parser(alg)
     x = parse_lincomb(args.x, parse_key)
     y = parse_lincomb(args.y, parse_key)
-    print(fmt_lincomb(bilinear_extend(op, x, y), key_str))
+    print(fmt_lincomb(bilinear_extend(op, x, y), alg.key_str))
     return 0
 
 
@@ -190,14 +194,13 @@ def cmd_coprod(args) -> int:
     alg = handle_for(args.algebra, ("d",), None)
     if alg.coproduct is None:
         raise CliError(f"{args.algebra} has no coproduct")
-    parse_key, key_str = key_io(args.algebra)
-    x = parse_lincomb(args.x, parse_key)
-    print(fmt_tensor2(x.map_linear(alg.coproduct), key_str))
+    x = parse_lincomb(args.x, key_parser(alg))
+    print(fmt_tensor2(x.map_linear(alg.coproduct), alg.key_str))
     return 0
 
 
 def cmd_delta(args) -> int:
-    t = parse_tree(args.tree)
+    t = parse(args.tree)
     if not is_partitioned_tree(t):
         raise CliError(f"{serialize(t)} is not a partitioned tree")
     print(fmt_tensor2(delta_perm(t), serialize))
@@ -286,9 +289,6 @@ def cmd_rigidity_obstruction(args) -> int:
     return 0
 
 
-_CHECK_ORDER = ("ucp", "cp", "hck", "tvf", "degneg1", "dual-cp", "dual-ucp")
-
-
 def _check_job(spec) -> list:
     name, labels, alphabet, abc, maxdeg, mode, seed, samples = spec
     alg = handle_for(name, labels, alphabet, abc)
@@ -298,7 +298,7 @@ def _check_job(spec) -> list:
 def cmd_check(args) -> int:
     guard(args.maxdeg, args.force, "--maxdeg")
     at_least(args.samples, 1, "--samples")
-    names = list(_CHECK_ORDER) if args.algebra == "all" else [args.algebra]
+    names = list(HANDLE_NAMES) if args.algebra == "all" else [args.algebra]
     labels = labels_from(args)
     alphabet = labels if args.alphabet else None
     abc = (tuple(parse_scalar(p) for p in args.abc.split(","))

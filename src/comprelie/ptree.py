@@ -30,10 +30,12 @@ Grammar (whitespace-insensitive)::
     node    := dec | dec '(' block (',' block)* ')'
     dec     := label | label ':' counter
 
-with ``label`` matching [A-Za-z0-9_]+ and ``counter`` a nonnegative integer
-(omitted when 0).  Examples: ``{[d]}`` is the single d-vertex;
-``{[d([e],[f])]}`` a root with two child blocks; ``{[d([e,f])]}`` a root
-whose two children share one block; ``{[d,e]}`` two roots in one block.
+with ``label`` matching ``LABEL_RE``, [A-Za-z0-9_]+ (word letters too), and
+``counter`` a nonnegative integer (omitted when 0).  Examples: ``{[d]}`` is
+the single d-vertex; ``{[d([e],[f])]}`` a root with two child blocks;
+``{[d([e,f])]}`` a root whose two children share one block; ``{[d,e]}`` two
+roots in one block.  ``parse`` reads it in one pass over its tokens with an
+explicit stack, so nesting costs it no recursion; the walks below recurse.
 
 Vertex references: a ``VertexRef`` is a tuple of (block_index, node_index)
 pairs giving the path from the top level down to a vertex, in canonical
@@ -93,95 +95,58 @@ class ParseError(ValueError):
     pass
 
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
-_NAT_RE = re.compile(r"\d+")
+# A tree label or a word letter.
+LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
 
+# One token after optional whitespace: a decoration `label[:counter]`, or
+# any other single character, which the parser takes as a mark.
+_TOKEN_RE = re.compile(r"\s*((%s)(?:\s*:\s*(\d+))?|\S)" % LABEL_RE.pattern)
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError("expected %r at position %d in %r"
-                             % (ch, self.pos, self.text))
-        self.pos += 1
-
-    def label(self) -> str:
-        self.skip_ws()
-        m = _LABEL_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected label at position %d in %r"
-                             % (self.pos, self.text))
-        self.pos = m.end()
-        return m.group()
-
-    def nat(self) -> int:
-        self.skip_ws()
-        m = _NAT_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected counter at position %d in %r"
-                             % (self.pos, self.text))
-        self.pos = m.end()
-        return int(m.group())
-
-    def node(self) -> Node:
-        d = self.label()
-        k = 0
-        if self.peek() == ":":
-            self.pos += 1
-            k = self.nat()
-        blocks = ()
-        if self.peek() == "(":
-            self.pos += 1
-            bs = [self.block()]
-            while self.peek() == ",":
-                self.pos += 1
-                bs.append(self.block())
-            self.expect(")")
-            blocks = tuple(bs)
-        return ((k, d), blocks)
-
-    def block(self) -> Block:
-        self.expect("[")
-        ns = [self.node()]
-        while self.peek() == ",":
-            self.pos += 1
-            ns.append(self.node())
-        self.expect("]")
-        return tuple(ns)
-
-    def pforest(self) -> PForest:
-        self.expect("{")
-        if self.peek() == "}":
-            self.pos += 1
-            return EMPTY
-        bs = [self.block()]
-        while self.peek() == ",":
-            self.pos += 1
-            bs.append(self.block())
-        self.expect("}")
-        return tuple(bs)
+# What the parser allows after each mark that opens or separates; `x`
+# stands for a decoration (no mark is a label character).
+_AFTER_OPEN = {"{": "[}", "[": "x", "(": "["}
 
 
 def parse(text: str) -> PForest:
-    """Parse a partitioned forest; the result is canonicalized."""
-    p = _Parser(text)
-    f = p.pforest()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise ParseError("trailing input at position %d in %r"
-                         % (p.pos, p.text))
-    return canonicalize(f)
+    """Parse a partitioned forest; the result is canonicalized.
+
+    One pass over the tokens.  `stack` holds the open block lists and
+    blocks, alternately, from the root block list down, and `allowed` the
+    tokens that may come next, as marks with `x` for a decoration."""
+    stack: list[list] = []
+    allowed = "{"
+    for m in _TOKEN_RE.finditer(text):
+        token, label, counter = m.groups()
+        tok = "x" if label else token
+        if tok not in allowed:
+            _unexpected(allowed, m.start(1), text)
+        if tok == "x":
+            stack[-1].append(((int(counter or 0), label), ()))
+            allowed = "(,]"
+        elif tok in _AFTER_OPEN:
+            stack.append([])
+            allowed = _AFTER_OPEN[tok]
+        elif tok == ",":
+            allowed = "[" if len(stack) % 2 else "x"
+        else:
+            done = tuple(stack.pop())
+            if tok == "}":
+                forest, allowed = done, ""
+            elif tok == "]":
+                stack[-1].append(done)
+                allowed = ",}" if len(stack) == 1 else ",)"
+            else:
+                stack[-1][-1] = (stack[-1][-1][0], done)
+                allowed = ",]"
+    if allowed:
+        _unexpected(allowed, len(text), text)
+    return canonicalize(forest)
+
+
+def _unexpected(allowed: str, pos: int, text: str):
+    what = " or ".join("label" if c == "x" else repr(c) for c in allowed)
+    raise ParseError("expected %s at position %d in %r"
+                     % (what or "end of input", pos, text))
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +320,22 @@ def graft_at(forest: PForest, ref: VertexRef, target, graft: PForest) -> PForest
 # ---------------------------------------------------------------------------
 
 def ideals(forest: PForest) -> list[frozenset]:
-    """All vertex sets closed under taking children, as frozensets of refs.
+    """All vertex sets closed under taking children, as frozensets of refs,
+    the empty and the full set included.  Under each vertex, either its
+    whole subtree is in the ideal, or the vertex is out and each child
+    chooses on its own: the work follows the ideals, not the 2^n subsets."""
+    def of_blocks(prefix: VertexRef, blocks) -> list[frozenset]:
+        # The last ideal of every list is the full vertex set.
+        out = [frozenset()]
+        for bi, b in enumerate(blocks):
+            for ni, (_, kids) in enumerate(b):
+                ref = prefix + ((bi, ni),)
+                below = of_blocks(ref, kids)
+                below.append(below[-1] | {ref})
+                out = [a | c for a in out for c in below]
+        return out
 
-    Includes the empty set and the full vertex set.  Enumeration is by
-    filtering all subsets, which is fine at the sizes this package works at.
-    """
-    verts = vertices(forest)
-    refs = [r for r, _ in verts]
-    children = {r: [r + ((bi, ni),) for bi, b in enumerate(nd[1])
-                    for ni, _ in enumerate(b)]
-                for r, nd in verts}
-    out = []
-    n = len(refs)
-    for mask in range(1 << n):
-        sub = frozenset(refs[i] for i in range(n) if mask >> i & 1)
-        if all(c in sub for r in sub for c in children[r]):
-            out.append(sub)
-    return out
+    return of_blocks((), forest)
 
 
 def split_ideal(forest: PForest, ideal: frozenset, bump: bool = True

@@ -6,9 +6,9 @@ Pipeline, for a degree-truncated algebra A (bound N):
    the reduced coproduct on the slice.
 2. ``Omega``: a map from tensor words of primitives into A, defined
    by grafting — omega() = unit, omega(x w) = g(x) • omega(w) — where g is
-   a right inverse of f(x) = x•unit.  On the tree algebras f scales a
-   homogeneous element by its degree, so g divides by it; otherwise g is
-   found by an exact per-degree solve.  omega is a degree-preserving
+   a right inverse of f(x) = x•unit, found by an exact per-degree solve
+   (on the tree algebras f scales a homogeneous element by its degree, and
+   the solve divides by it).  omega is a degree-preserving
    coalgebra morphism onto A (deconcatenation on the word side) and
    invertible on every slice; both are exposed as checks.
 3. ``eulerian_psi``: the convolution logarithm of the identity,
@@ -243,14 +243,12 @@ class Omega:
         return self.tb.prelie(x, unit(self.tb.alg.unit))
 
     def _right_inverse(self, letter: str) -> LinComb:
-        """g with f(g) equal to the letter's primitive.  When f scales the
-        primitive by its degree (the tree algebras), g is the primitive
-        over its degree; otherwise solve f's linear system on the slice,
-        free coordinates pinned to zero."""
+        """g with f(g) equal to the letter's primitive: a solution of f's
+        linear system on the slice, free coordinates pinned to zero.
+        Where f is n·id on the degree-n slice (the tree algebras), that is
+        the primitive over n."""
         p = self.letter_prim[letter]
         n = self.letter_deg[letter]
-        if self._f(p) == p.scale(n):
-            return p.scale(Fraction(1, n))
         keys = self.tb.slices[n]
         rows, b = _system([self._f(unit(k)) for k in keys], p)
         sol = solve(rows, b, len(keys))

@@ -40,10 +40,10 @@ are instantiated from it, each by building its varpi:
 
 from __future__ import annotations
 
-import re
 from itertools import product
 
 from .lincomb import LinComb, bilinear_extend, unit, ZERO
+from .ptree import LABEL_RE
 
 Word = tuple  # tuple of letter strings
 EPS: Word = ()
@@ -53,18 +53,15 @@ def fmt_word(w: Word) -> str:
     return ".".join(w) if w else "eps"
 
 
-_LETTER_RE = re.compile(r"[A-Za-z0-9_]+")
-
-
 def parse_word(s: str) -> Word:
-    """Dot-separated letters, each matching [A-Za-z0-9_]+; `eps` or
+    """Dot-separated letters, each matching `LABEL_RE`; `eps` or
     nothing is the empty word.  Raises ValueError on a bad letter."""
     s = s.strip()
     if s in ("eps", ""):
         return EPS
     word = tuple(p.strip() for p in s.split("."))
     for x in word:
-        if not _LETTER_RE.fullmatch(x):
+        if not LABEL_RE.fullmatch(x):
             raise ValueError(f"bad letter {x!r} in word {s!r}")
     return word
 

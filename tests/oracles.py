@@ -10,7 +10,13 @@ round; the tests compare the two.
   and the two products built on it;
 * ``dense_rref``/``dense_nullspace``/``dense_solve``, Gauss-Jordan on
   lists of Fractions, gate the sparse kernel of ``linalg``;
-* ``multisets_brute_force`` gates ``ptree._multisets``.
+* ``multisets_brute_force`` gates ``ptree._multisets``;
+* ``parse_reference``, the recursive-descent parser, gates ``ptree.parse``;
+* ``ideals_brute_force``, the filter of all 2^n vertex sets, gates
+  ``ptree.ideals``; ``n_ideals``, ``n_cut_terms`` and ``n_admissible``
+  count the ideals, the distinct terms of a cutting coproduct and the
+  admissible partitions straight from their definitions, and gate the
+  sizes of the coproducts and of ``dual.theta``.
 
 The tensor-leg helpers at the end reassociate and permute tensor keys for
 the coassociativity and cocommutativity tests.
@@ -18,15 +24,18 @@ the coassociativity and cocommutativity tests.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Iterator, Mapping, Sequence
+
+from hypothesis import strategies as st
 
 from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.oudom import Extension
 from comprelie.ptree import (
-    EMPTY, PForest, _multisets, build_root, canonicalize, is_partitioned_tree,
-    nvertices, serialize,
+    EMPTY, Block, Node, ParseError, PForest, _multisets, build_root,
+    canonicalize, is_partitioned_tree, nvertices, serialize, vertices,
 )
 from comprelie.shuffle import (
     EndoV, Varpi, Word, apply_endo, shuffle, words_of_length,
@@ -114,6 +123,236 @@ def multisets_brute_force(items: list, sizes: list[int], total: int) -> list:
              for ix in combinations_with_replacement(range(len(items)), r)
              if sum(sizes[i] for i in ix) == total]
     return [tuple(items[i] for i in ix) for ix in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
+# The tree grammar by recursive descent.
+# ---------------------------------------------------------------------------
+
+_LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+_NAT_RE = re.compile(r"\d+")
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise ParseError("expected %r at position %d in %r"
+                             % (ch, self.pos, self.text))
+        self.pos += 1
+
+    def label(self) -> str:
+        self.skip_ws()
+        m = _LABEL_RE.match(self.text, self.pos)
+        if not m:
+            raise ParseError("expected label at position %d in %r"
+                             % (self.pos, self.text))
+        self.pos = m.end()
+        return m.group()
+
+    def nat(self) -> int:
+        self.skip_ws()
+        m = _NAT_RE.match(self.text, self.pos)
+        if not m:
+            raise ParseError("expected counter at position %d in %r"
+                             % (self.pos, self.text))
+        self.pos = m.end()
+        return int(m.group())
+
+    def node(self) -> Node:
+        d = self.label()
+        k = 0
+        if self.peek() == ":":
+            self.pos += 1
+            k = self.nat()
+        blocks = ()
+        if self.peek() == "(":
+            self.pos += 1
+            bs = [self.block()]
+            while self.peek() == ",":
+                self.pos += 1
+                bs.append(self.block())
+            self.expect(")")
+            blocks = tuple(bs)
+        return ((k, d), blocks)
+
+    def block(self) -> Block:
+        self.expect("[")
+        ns = [self.node()]
+        while self.peek() == ",":
+            self.pos += 1
+            ns.append(self.node())
+        self.expect("]")
+        return tuple(ns)
+
+    def pforest(self) -> PForest:
+        self.expect("{")
+        if self.peek() == "}":
+            self.pos += 1
+            return EMPTY
+        bs = [self.block()]
+        while self.peek() == ",":
+            self.pos += 1
+            bs.append(self.block())
+        self.expect("}")
+        return tuple(bs)
+
+
+def parse_outcome(parser: Callable, text: str):
+    """What `parser` makes of `text`: the forest, or ParseError."""
+    try:
+        return parser(text)
+    except ParseError:
+        return ParseError
+
+
+def parse_reference(text: str) -> PForest:
+    """`ptree.parse` by recursive descent, one method per grammar rule."""
+    p = _Parser(text)
+    f = p.pforest()
+    p.skip_ws()
+    if p.pos != len(p.text):
+        raise ParseError("trailing input at position %d in %r"
+                         % (p.pos, p.text))
+    return canonicalize(f)
+
+
+# Parser inputs: strings of grammar characters, and single-character edits
+# (delete, insert, replace) of canonical forest texts.
+GRAMMAR_CHARS = "{}[](),:de_07 \t"
+_FORESTS = ["{}", "{[d]}", "{[e:2([d])]}", "{[d([d([e])])]}",
+            "{[d([d:1,e],[e])],[d,e]}"]
+
+
+@st.composite
+def _edited_forest(draw) -> str:
+    text = draw(st.sampled_from(_FORESTS))
+    i = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from(GRAMMAR_CHARS))
+    return draw(st.sampled_from((text[:i] + text[i + 1:],
+                                 text[:i] + c + text[i:],
+                                 text[:i] + c + text[i + 1:])))
+
+
+parser_inputs = st.one_of(st.text(GRAMMAR_CHARS, max_size=16),
+                          _edited_forest())
+
+
+# ---------------------------------------------------------------------------
+# Ideals and the sizes of the cutting coproducts and of theta.
+# ---------------------------------------------------------------------------
+
+def ideals_brute_force(forest: PForest) -> list[frozenset]:
+    """Every vertex set closed under taking children: all 2^n subsets of
+    the refs, filtered."""
+    verts = vertices(forest)
+    refs = [r for r, _ in verts]
+    children = {r: [r + ((bi, ni),) for bi, b in enumerate(nd[1])
+                    for ni, _ in enumerate(b)]
+                for r, nd in verts}
+    out = []
+    n = len(refs)
+    for mask in range(1 << n):
+        sub = frozenset(refs[i] for i in range(n) if mask >> i & 1)
+        if all(c in sub for r in sub for c in children[r]):
+            out.append(sub)
+    return out
+
+
+def n_ideals(forest: PForest) -> int:
+    """The number of ideals: under each vertex, either its whole subtree or
+    an ideal below each child, the children choosing independently."""
+    out = 1
+    for block in forest:
+        for _, kids in block:
+            out *= 1 + n_ideals(kids)
+    return out
+
+
+def _text(counter: int, label: str, blocks: list[list[str]]) -> str:
+    """A vertex as text, its child blocks given as lists of vertex texts;
+    sorting at every level makes isomorphic subtrees equal text."""
+    head = "%s:%d" % (label, counter) if counter else label
+    inner = sorted("[" + ",".join(sorted(b)) + "]" for b in blocks)
+    return head + ("(" + ",".join(inner) + ")" if inner else "")
+
+
+def _node_text(nd: Node) -> str:
+    (k, label), blocks = nd
+    return _text(k, label, [[_node_text(c) for c in b] for b in blocks])
+
+
+def _cuts(nd: Node, bump: bool) -> list[tuple]:
+    """(kept, cut) for every ideal of a vertex's subtree: the text of what
+    stays (None when the vertex is cut) and the texts of the subtrees cut
+    off.  With bump, a staying vertex's counter grows by its child blocks
+    that were cut whole."""
+    (k, label), blocks = nd
+    out = [(None, (_node_text(nd),))]
+    kids = [(bi, _cuts(c, bump)) for bi, b in enumerate(blocks) for c in b]
+    for choice in product(*(cuts for _, cuts in kids)):
+        kept: list[list[str]] = [[] for _ in blocks]
+        cut: list[str] = []
+        for (bi, _), (stays, gone) in zip(kids, choice):
+            if stays is not None:
+                kept[bi].append(stays)
+            cut.extend(gone)
+        left = [b for b in kept if b]
+        bumped = k + (len(blocks) - len(left) if bump else 0)
+        out.append((_text(bumped, label, left), tuple(cut)))
+    return out
+
+
+def n_cut_terms(forest: PForest, bump: bool = False) -> int:
+    """Distinct terms of a cutting coproduct of a partitioned tree or a
+    plain forest: the distinct pairs of (roots that stay, subtrees cut
+    off), each a multiset of vertex texts."""
+    roots = [nd for b in forest for nd in b]
+    terms = set()
+    for choice in product(*(_cuts(nd, bump) for nd in roots)):
+        stays = tuple(sorted(s for s, _ in choice if s is not None))
+        cut = tuple(sorted(x for _, gone in choice for x in gone))
+        terms.add((stays, cut))
+    return len(terms)
+
+
+def _pieces(nd: Node) -> tuple[int, int]:
+    """(heads, inside): the partitions of a vertex's subtree into pieces
+    when the vertex heads its piece, and when it belongs to its parent's."""
+    heads = inside = 1
+    for block in nd[1]:
+        # ways[j]: choices for the block so far with j of its vertices in
+        # this vertex's piece, j = 2 standing for two or more
+        ways = [1, 0, 0]
+        for c in block:
+            h, i = _pieces(c)
+            ways = [ways[0] * h, ways[0] * i + ways[1] * h,
+                    ways[1] * i + ways[2] * (h + i)]
+        inside *= sum(ways)
+        heads *= ways[0] + ways[2]
+    return heads, inside
+
+
+def n_admissible(forest: PForest) -> int:
+    """Partitions of the vertices into admissible pieces: each piece
+    connected under one top vertex, and each child block of that top
+    vertex keeping none or at least two of its vertices in the piece."""
+    out = 1
+    for block in forest:
+        for nd in block:
+            out *= _pieces(nd)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

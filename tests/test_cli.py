@@ -1,15 +1,20 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from comprelie import cli
 from comprelie.cli import main, parse_lincomb
 from comprelie.lincomb import LinComb, fmt_lincomb, unit
 from comprelie.ptree import parse, serialize
 from comprelie.shuffle import parse_word
+
+from oracles import parser_inputs
 
 # Child processes import the package from here, whatever the PYTHONPATH.
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,8 +98,8 @@ def test_eval_expression_inputs(capsys):
 
 def test_eval_word_algebras(capsys):
     rc, out = run(capsys, "eval", "--algebra", "tvf", "--op", "mul",
-                  "x", "y.z")
-    assert out == "1*x.y.z + 1*y.x.z + 1*y.z.x\n"
+                  "a", "b.b")
+    assert out == "1*a.b.b + 1*b.a.b + 1*b.b.a\n"
     rc, out = run(capsys, "eval", "--algebra", "degneg1", "--op", "prelie",
                   "x", "eps")
     assert rc == 0
@@ -296,6 +301,22 @@ def test_bad_word_letter_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["eval", "--algebra", "tvf", "a.z", "b"],
+    ["eval", "--algebra", "tvf", "--op", "mul", "a", "b + 2*q.a"],
+    ["coprod", "--algebra", "tvf", "a.b.c"],
+    ["eval", "--algebra", "degneg1", "x.q", "y"],
+    ["eval", "--algebra", "degneg1", "x", "a"],
+    ["coprod", "--algebra", "degneg1", "x - q"],
+])
+def test_word_letter_outside_the_alphabet_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["enum", "--n", "-2"],
     ["kerdelta", "--degree", "-1"],
     ["check", "--algebra", "cp", "--maxdeg", "-3"],
@@ -365,6 +386,21 @@ def test_word_algebras_parse_the_alphabet_like_every_verb(capsys,
         assert main(["check", "--algebra", "tvf", "--maxdeg", "1",
                      "--alphabet", alphabet]) == 0
     assert swept == [("a", "b")] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(parser_inputs)
+def test_delta_on_any_text_exits_0_or_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["delta", text])
+    if rc == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert rc == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 DEEP_PATH = "{[" + "d([" * 399 + "d" + "])" * 399 + "]}"

@@ -1,0 +1,75 @@
+"""Counting gates for the cut layer: the sizes of the cutting coproducts and
+of theta on seeded random trees, against counts taken from the definitions
+(`tests/oracles.py`)."""
+
+import random
+
+import pytest
+
+from comprelie.dual import theta
+from comprelie.ptree import admissible_partitions, canonicalize, nvertices
+from comprelie.ucp import coproduct_cp, coproduct_hck, coproduct_ucp
+
+from oracles import n_admissible, n_cut_terms, n_ideals
+
+
+def random_forest(seed: int, n: int, roots: int, plain: bool,
+                  labels: str = "de", counter_cap: int = 0):
+    """A canonical forest on n vertices.
+
+    Vertex v >= roots hangs from v - 1, from vertex 0 or from a uniform
+    earlier vertex, a third of the time each, and joins a random child
+    block of its parent or opens its own, half the time each.  The roots
+    share one block, unless `plain`, which gives every vertex a block of
+    its own.  Labels and counters are uniform."""
+    rnd = random.Random(seed)
+    roots = min(roots, n)
+    blocks: list[list[list[int]]] = [[] for _ in range(n)]
+    for v in range(roots, n):
+        kids = blocks[rnd.choice((v - 1, 0, rnd.randrange(v)))]
+        if kids and not plain and rnd.random() < 0.5:
+            rnd.choice(kids).append(v)
+        else:
+            kids.append([v])
+
+    def node(v: int):
+        dec = (rnd.randint(0, counter_cap), rnd.choice(labels))
+        return (dec, tuple(tuple(node(c) for c in b) for b in blocks[v]))
+
+    tops = [(node(v),) for v in range(roots)]
+    if not plain:
+        tops = [tuple(nd for b in tops for nd in b)] if roots else []
+    return canonicalize(tuple(tops))
+
+
+# (seed, vertices, roots): every size up to 16, one to three roots
+TREES = [(seed, n, 1 + seed % 3 if n >= 3 else 1)
+         for seed, n in enumerate(list(range(17)) + [16, 16, 15, 14, 12])]
+
+
+@pytest.mark.parametrize("seed,n,roots", TREES)
+def test_cutting_coproduct_sizes(seed, n, roots):
+    """Each coproduct has one term per ideal, summed into the distinct
+    pairs (trunk, pruned).  One label half the time, so that equal
+    subtrees merge terms; counters a third of the time."""
+    labels = "d" if seed % 2 else "de"
+    t = random_forest(seed, n, min(roots, 2), False, labels, seed % 3 == 0)
+    assert nvertices(t) == n
+    for cop, bump in ((coproduct_cp, False), (coproduct_ucp, True)):
+        out = cop(t)
+        assert sum(out.values()) == n_ideals(t)
+        assert len(out) == n_cut_terms(t, bump)
+    f = random_forest(seed, n, roots, True, labels)
+    out = coproduct_hck(f)
+    assert sum(out.values()) == n_ideals(f)
+    assert len(out) == n_cut_terms(f)
+
+
+@pytest.mark.parametrize("seed,n", [(seed, 3 + seed % 6)
+                                    for seed in range(12)] + [(8, 9)])
+def test_theta_sizes(seed, n):
+    """theta has one term per admissible partition."""
+    t = random_forest(seed, n, 1, False)
+    count = n_admissible(t)
+    assert len(admissible_partitions(t)) == count
+    assert sum(theta(t).values()) == count

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from comprelie import ptree
 from comprelie.handles import with_counters
@@ -15,7 +15,10 @@ from comprelie.ptree import (
     set_partitions, ParseError,
 )
 
-from oracles import multisets_brute_force
+from oracles import (
+    ideals_brute_force, multisets_brute_force, n_ideals, parse_outcome,
+    parse_reference, parser_inputs,
+)
 
 D1 = ("d",)
 D2 = ("d", "e")
@@ -36,6 +39,35 @@ def test_parse_errors():
     for bad in ("", "{", "{[]}", "{[d]", "{[d]} junk", "[d]", "{[d:]}"):
         with pytest.raises(ParseError):
             parse(bad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(parser_inputs)
+def test_parse_matches_reference(text):
+    """ParseError exactly when the recursive-descent reference raises it,
+    the same forest otherwise, and no other exception."""
+    assert parse_outcome(parse, text) == parse_outcome(parse_reference, text)
+
+
+@pytest.mark.parametrize("text", [
+    "{[d,]}", "{[d],}", "{,}", "{[]}", "{[d()]}", "{[d([e]),]}",
+    "{[d]]}", "{[d])}", "{[d([e]]}", "{[d:3:4]}", "{[d:]}", "{[:3]}",
+    "{[d e]}", "{}}", "{} {}", "{[d]}\n", " { [ d : 3 ( [ e ] ) ] } ",
+    "{[d:03,e_1([d],[e]),d]}", "{[d\t([e])]}",
+])
+def test_parse_matches_reference_at_the_edges(text):
+    assert parse_outcome(parse, text) == parse_outcome(parse_reference, text)
+
+
+def test_parse_error_names_what_was_expected():
+    with pytest.raises(ParseError, match=r"expected '\(' or ',' or ']' "
+                                         r"at position 6 in"):
+        parse("{[d:1 e]}")
+    with pytest.raises(ParseError, match="expected end of input at "
+                                         "position 6"):
+        parse("{[d]} x")
+    with pytest.raises(ParseError, match="expected '{' at position 0"):
+        parse("")
 
 
 def test_counter_display():
@@ -320,6 +352,20 @@ def test_split_no_bump_mode():
     refs = build_ref_map(t)
     R, P = split_ideal(t, frozenset([refs["b"]]), bump=False)
     assert serialize(R) == "{[a]}"
+
+
+def test_ideals_match_brute_force():
+    """The subtree recursion finds exactly the children-closed vertex sets,
+    each once, on every tree with labels d, e and every plain forest shape
+    up to 6 vertices."""
+    cases = 0
+    for n in range(7):
+        for t in enum_partitioned(n, D2) + enum_plain_forests(n, D1):
+            got = ideals(t)
+            assert len(got) == len(set(got)) == n_ideals(t)
+            assert set(got) == set(ideals_brute_force(t))
+            cases += 1
+    assert cases == 7005
 
 
 def test_ideal_count_is_antichain_free():

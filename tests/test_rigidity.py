@@ -169,8 +169,8 @@ def test_omega_inverse_roundtrip():
 
 def test_omega_general_right_inverse():
     # doubling the bullet wholesale keeps every law (each law's two sides
-    # scale alike) but makes x•unit scale by twice the degree, forcing
-    # the solve path for g; the construction still goes through
+    # scale alike) but makes x•unit scale by twice the degree; the solve
+    # for g finds the primitive over 2n and the construction goes through
     base = cp_handle()
 
     def doubled(a, b):
