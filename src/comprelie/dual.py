@@ -121,7 +121,10 @@ def free_generators(n: int, labels) -> list[PForest]:
 
 def theta(t: PForest) -> LinComb:
     """Sum of the contractions of t along all partitions into one-rooted
-    pieces with no singleton child block at their root."""
+    pieces with no singleton child block at their root.  The partitions
+    come from `admissible_partitions`, grown top-down, so the cost follows
+    the number of terms, not the Bell number of t's vertex count: a
+    corolla whose leaves sit in singleton blocks has one term."""
     out = LinComb()
     for part in admissible_partitions(t):
         out.add_term(contract(t, part), 1)

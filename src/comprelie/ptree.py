@@ -121,7 +121,7 @@ def parse(text: str) -> PForest:
         if tok not in allowed:
             _unexpected(allowed, m.start(1), text)
         if tok == "x":
-            stack[-1].append(((int(counter or 0), label), ()))
+            stack[-1].append(((_counter(counter, m.start(3)), label), ()))
             allowed = "(,]"
         elif tok in _AFTER_OPEN:
             stack.append([])
@@ -141,6 +141,16 @@ def parse(text: str) -> PForest:
     if allowed:
         _unexpected(allowed, len(text), text)
     return canonicalize(forest)
+
+
+def _counter(digits: Optional[str], pos: int) -> int:
+    """A counter's value; Python refuses to convert a very long digit
+    string, which is bad input like any other."""
+    try:
+        return int(digits or 0)
+    except ValueError:
+        raise ParseError("counter of %d digits at position %d is too long"
+                         % (len(digits), pos)) from None
 
 
 def _unexpected(allowed: str, pos: int, text: str):
@@ -407,11 +417,13 @@ def varsigma(tree: PForest) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Set partitions, coarsenings (block merges), admissible partitions.
+# Coarsenings (block merges), over the set partitions of each block list,
+# and admissible partitions, grown piece by piece from the roots down.
 # ---------------------------------------------------------------------------
 
 def set_partitions(items: list) -> Iterator[list[list]]:
-    """All set partitions of `items` (standard element-by-element recursion)."""
+    """All set partitions of `items` (standard element-by-element
+    recursion); `coarsenings` merges a block list along each of them."""
     if not items:
         yield []
         return
@@ -457,19 +469,47 @@ def coarsens_to(fine: PForest, coarse: PForest) -> bool:
 
 def admissible_partitions(tree: PForest) -> list[list[frozenset]]:
     """Vertex-set partitions all of whose pieces restrict to one-rooted
-    trees with no singleton child block at their root."""
-    refs = [r for r, _ in vertices(tree)]
-    out = []
-    for parts in set_partitions(refs):
-        ok = True
-        for piece in parts:
-            sub = restrict(tree, frozenset(piece))
-            if not (is_one_rooted(sub) and varsigma(sub) == 0):
-                ok = False
-                break
-        if ok:
-            out.append([frozenset(p) for p in parts])
-    return out
+    trees with no singleton child block at their root.
+
+    The pieces grow top-down: every root heads a piece, and every other
+    vertex either heads a new piece or joins its parent's.  A head keeps 0
+    or at least 2 children of each of its child blocks in its piece; a
+    vertex that joined may keep any of its children.  A subtree is only
+    enumerated in a mode its parent can use, so past a factor of two the
+    work follows the partitions returned, not the Bell(n) set partitions.
+    """
+    def grow(ref: VertexRef, kids, joins: bool):
+        # The partitions of the subtree at `ref`, each a pair (refs of the
+        # piece that holds `ref`, the other pieces): first where `ref`
+        # heads its piece, then, if `joins`, where it joins its parent's.
+        heads = [((ref,), ())]
+        joined = heads if joins else []
+        for bi, b in enumerate(kids):
+            # ways[j]: choices for the block so far with j of its vertices
+            # in this piece, j = 2 standing for two or more
+            ways: list[list] = [[((), ())], [], []]
+            for ni, (_, sub) in enumerate(b):
+                h, m = grow(ref + ((bi, ni),), sub, joins or len(b) > 1)
+                h = [((), rest + (frozenset(own),)) for own, rest in h]
+                ways = [_pairs(ways[0], h),
+                        _pairs(ways[0], m) + _pairs(ways[1], h),
+                        _pairs(ways[1], m) + _pairs(ways[2], h + m)]
+            heads = _pairs(heads, ways[0] + ways[2])
+            if joins:
+                joined = _pairs(joined, ways[0] + ways[1] + ways[2])
+        return heads, joined
+
+    out = [()]
+    for bi, b in enumerate(tree):
+        for ni, (_, kids) in enumerate(b):
+            h, _ = grow(((bi, ni),), kids, False)
+            out = [p + rest + (frozenset(own),) for p in out for own, rest in h]
+    return [list(p) for p in out]
+
+
+def _pairs(xs: list, ys: list) -> list:
+    """Every pair of an x and a y, joined componentwise."""
+    return [(a + c, b + d) for a, b in xs for c, d in ys]
 
 
 def contract(tree: PForest, partition: list[frozenset]) -> PForest:

@@ -13,10 +13,12 @@ round; the tests compare the two.
 * ``multisets_brute_force`` gates ``ptree._multisets``;
 * ``parse_reference``, the recursive-descent parser, gates ``ptree.parse``;
 * ``ideals_brute_force``, the filter of all 2^n vertex sets, gates
-  ``ptree.ideals``; ``n_ideals``, ``n_cut_terms`` and ``n_admissible``
-  count the ideals, the distinct terms of a cutting coproduct and the
-  admissible partitions straight from their definitions, and gate the
-  sizes of the coproducts and of ``dual.theta``.
+  ``ptree.ideals``; ``admissible_partitions_brute_force``, the filter of
+  all Bell(n) set partitions, gates ``ptree.admissible_partitions``;
+  ``n_ideals``, ``n_cut_terms`` and ``n_admissible`` count the ideals,
+  the distinct terms of a cutting coproduct and the admissible partitions
+  straight from their definitions, and gate the sizes of the coproducts
+  and of ``dual.theta``.
 
 The tensor-leg helpers at the end reassociate and permute tensor keys for
 the coassociativity and cocommutativity tests.
@@ -35,7 +37,8 @@ from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.oudom import Extension
 from comprelie.ptree import (
     EMPTY, Block, Node, ParseError, PForest, _multisets, build_root,
-    canonicalize, is_partitioned_tree, nvertices, serialize, vertices,
+    canonicalize, is_one_rooted, is_partitioned_tree, nvertices, restrict,
+    serialize, set_partitions, varsigma, vertices,
 )
 from comprelie.shuffle import (
     EndoV, Varpi, Word, apply_endo, shuffle, words_of_length,
@@ -342,6 +345,21 @@ def _pieces(nd: Node) -> tuple[int, int]:
         inside *= sum(ways)
         heads *= ways[0] + ways[2]
     return heads, inside
+
+
+def admissible_partitions_brute_force(forest: PForest
+                                      ) -> list[list[frozenset]]:
+    """Every set partition of the refs whose pieces all restrict to
+    one-rooted trees with no singleton child block at their root: all
+    Bell(n) set partitions, filtered."""
+    refs = [r for r, _ in vertices(forest)]
+    out = []
+    for parts in set_partitions(refs):
+        pieces = [frozenset(p) for p in parts]
+        if all(is_one_rooted(sub) and varsigma(sub) == 0
+               for sub in (restrict(forest, p) for p in pieces)):
+            out.append(pieces)
+    return out
 
 
 def n_admissible(forest: PForest) -> int:

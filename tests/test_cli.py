@@ -284,6 +284,14 @@ def test_parse_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_overlong_counter_exits_2(capsys):
+    """Python refuses to convert more than 4300 digits; that is a parse
+    error at the counter's position, not an internal one."""
+    assert main(["delta", "{[d:%s]}" % ("9" * 5000)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: counter of 5000 digits at position 4 is too long\n"
+
+
 def test_zero_denominator_exits_2(capsys):
     assert main(["eval", "--algebra", "cp", "1/0*{[d]}", "{[d]}"]) == 2
     assert main(["check", "--algebra", "degneg1", "--maxdeg", "1",

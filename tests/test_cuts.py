@@ -1,16 +1,21 @@
 """Counting gates for the cut layer: the sizes of the cutting coproducts and
 of theta on seeded random trees, against counts taken from the definitions
-(`tests/oracles.py`)."""
+(`tests/oracles.py`), and the admissible partitions against the filter of
+all set partitions."""
 
 import random
 
 import pytest
 
 from comprelie.dual import theta
-from comprelie.ptree import admissible_partitions, canonicalize, nvertices
+from comprelie.ptree import (
+    admissible_partitions, canonicalize, enum_partitioned, nvertices, parse,
+)
 from comprelie.ucp import coproduct_cp, coproduct_hck, coproduct_ucp
 
-from oracles import n_admissible, n_cut_terms, n_ideals
+from oracles import (
+    admissible_partitions_brute_force, n_admissible, n_cut_terms, n_ideals,
+)
 
 
 def random_forest(seed: int, n: int, roots: int, plain: bool,
@@ -65,11 +70,50 @@ def test_cutting_coproduct_sizes(seed, n, roots):
     assert len(out) == n_cut_terms(f)
 
 
-@pytest.mark.parametrize("seed,n", [(seed, 3 + seed % 6)
-                                    for seed in range(12)] + [(8, 9)])
-def test_theta_sizes(seed, n):
+def _corolla(leaves: int, one_block: bool) -> str:
+    if one_block:
+        return "{[d([%s])]}" % ",".join(["d"] * leaves)
+    return "{[d(%s)]}" % ",".join(["[d]"] * leaves)
+
+
+# one-rooted trees of 3 to 9 vertices (ids seed-n), the TREES of the
+# coproduct gate (ids seed-n-roots) and both 10-vertex corollas
+THETA_TREES = (
+    [pytest.param(random_forest(seed, n, 1, False), id="%d-%d" % (seed, n))
+     for seed, n in [(seed, 3 + seed % 6) for seed in range(12)] + [(8, 9)]]
+    + [pytest.param(random_forest(seed, n, roots, False, "d" if seed % 2
+                                  else "de"), id="%d-%d-%d" % (seed, n, roots))
+       for seed, n, roots in TREES]
+    + [pytest.param(parse(_corolla(9, one_block)), id=_corolla(9, one_block))
+       for one_block in (False, True)])
+
+
+@pytest.mark.parametrize("t", THETA_TREES)
+def test_theta_sizes(t):
     """theta has one term per admissible partition."""
-    t = random_forest(seed, n, 1, False)
     count = n_admissible(t)
     assert len(admissible_partitions(t)) == count
     assert sum(theta(t).values()) == count
+
+
+def assert_same_partitions(t):
+    """The admissible partitions are the filtered set partitions, none
+    yielded twice."""
+    fast = [frozenset(p) for p in admissible_partitions(t)]
+    assert len(set(fast)) == len(fast)
+    assert set(fast) == {frozenset(p)
+                         for p in admissible_partitions_brute_force(t)}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_admissible_partitions_match_the_filter(n):
+    for t in enum_partitioned(n, "de"):
+        assert_same_partitions(t)
+
+
+@pytest.mark.parametrize("seed,n,roots", [c for c in TREES
+                                          if c[2] > 1 and c[1] <= 8])
+def test_admissible_partitions_of_forests(seed, n, roots):
+    """Several roots in one block, and each root in a block of its own."""
+    for plain in (False, True):
+        assert_same_partitions(random_forest(seed, n, roots, plain))
