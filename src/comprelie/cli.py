@@ -22,7 +22,8 @@ Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
 unparseable input (including negative degree-like flags, count-like flags
 out of range: --labels, --samples or --jobs below 1, --cap below 0, an
 --alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a repeated
-letter, and a word with a letter outside its algebra's alphabet),
+letter, a word with a letter outside its algebra's alphabet, and a tree
+outside its algebra's basis shapes),
 3 resource bound exceeded (including input nested too deeply for the
 recursion limit), 141 (128 + SIGPIPE, what a shell reports for a process
 that SIGPIPE ends) when the reader closes stdout before the output is
@@ -46,9 +47,10 @@ from .dual import diamond, diamond_down, psi_inverse, psi_map, theta
 from .handles import HANDLE_NAMES, get_handle
 from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
                       fmt_tensor2, parse_scalar, unit)
-from .ptree import (LABEL_RE, ParseError, enum_one_rooted, enum_partitioned,
-                    enum_plain_forests, enum_plain_trees, is_partitioned_tree,
-                    parse, serialize)
+from .ptree import (LABEL_RE, ParseError, counter_total, enum_one_rooted,
+                    enum_partitioned, enum_plain_forests, enum_plain_trees,
+                    is_one_rooted, is_partitioned_tree, is_plain, parse,
+                    serialize)
 from .rigidity import HopfIso, Omega, TruncatedBialgebra, cofree_obstruction
 from .shuffle import fmt_word, parse_word
 from .ucp import cm_delta_closed, cm_x, delta_perm, kernel_delta_dim
@@ -131,19 +133,34 @@ def parse_lincomb(text: str, parse_key: Callable) -> LinComb:
     return out
 
 
+# The trees each tree algebra's basis is made of.
+_BASIS_SHAPES = {
+    "ucp": is_partitioned_tree,
+    "cp": lambda t: is_partitioned_tree(t) and not counter_total(t),
+    "hck": lambda t: is_plain(t) and not counter_total(t),
+    "dual-ucp": is_one_rooted,
+}
+_BASIS_SHAPES["dual-cp"] = _BASIS_SHAPES["cp"]
+
+
 def key_parser(alg) -> Callable:
-    """The parser of the handle's basis keys: trees, or words whose
-    letters must be in the handle's alphabet (its degree-1 basis)."""
-    if alg.name not in WORD_ALGEBRAS:
-        return parse
-    letters = {w[0] for w in alg.basis(1)}
+    """The parser of the handle's basis keys: trees of the shape its basis
+    is made of, or words whose letters must be in the handle's alphabet
+    (its degree-1 basis)."""
+    if alg.name in WORD_ALGEBRAS:
+        letters = {w[0] for w in alg.basis(1)}
+        read, ok = parse_word, letters.issuperset
+        why = (f"has a letter outside the {alg.name} alphabet "
+               f"{','.join(sorted(letters))}")
+    else:
+        read, ok = parse, _BASIS_SHAPES[alg.name]
+        why = f"is outside the {alg.name} basis"
 
     def parse_key(text: str):
-        word = parse_word(text)
-        if not letters.issuperset(word):
-            raise CliError(f"{text!r} has a letter outside the {alg.name} "
-                           f"alphabet {','.join(sorted(letters))}")
-        return word
+        key = read(text)
+        if not ok(key):
+            raise CliError(f"{text!r} {why}")
+        return key
 
     return parse_key
 
@@ -225,9 +242,10 @@ def cmd_cm(args) -> int:
     return 0
 
 
-# The one grafting rule underlies three preLie structures: on one-rooted
-# trees with counters (the counter-lowering variant), on one-rooted trees
-# without, and on arbitrary partitioned forests.
+# One grafting rule, `ptree.grafts` into every child block and a new one,
+# underlies three preLie structures: on one-rooted trees with counters
+# (each graft lowers its vertex's counter), on one-rooted trees without,
+# and on arbitrary partitioned forests.
 _DIAMONDS = {"ucp": diamond_down, "cp": diamond, "ext": diamond}
 
 

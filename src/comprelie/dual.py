@@ -5,19 +5,19 @@ the products here put it back in every possible way, so they are the graded
 duals of those coproducts (up to the usual symmetry factors).
 
 * ``diamond`` grafts the right argument at every vertex of the left one,
-  both into each existing child block and as a new block.  On the span of
-  all counter-free partitioned trees it makes the tree multiplication a
-  Com-PreLie algebra; restricted to one-rooted trees it is the product dual
-  to ``delta_root`` below.
+  both into each existing child block and as a new block (``ptree.grafts``
+  with ``existing``).  On the span of all counter-free partitioned trees it
+  makes the tree multiplication a Com-PreLie algebra; restricted to
+  one-rooted trees it is the product dual to ``delta_root`` below.
 * ``diamond_down`` is the counterful variant: each grafting also lowers the
   counter of the grafting vertex by one, killing the term at counter zero.
   This is the product dual to the block-pruning coproduct on counterful
   trees.
-* ``delta_root`` removes one singleton child block of the root of a
-  one-rooted tree.  It is permutative, ``diamond`` differentiates it, and
-  regrafting at the root (``root_graft``) recovers the singleton-block count
-  ``varsigma`` — which is why the trees with no singleton child block at the
-  root freely generate.
+* ``delta_root`` keeps the terms of the block-pruning ``delta_perm`` that
+  prune a singleton child block.  On one-rooted trees it is permutative,
+  ``diamond`` differentiates it, and regrafting at the root (``root_graft``)
+  recovers the singleton-block count ``varsigma`` — which is why the trees
+  with no singleton child block at the root freely generate.
 * ``theta`` contracts a tree along all partitions into one-rooted pieces
   with no singleton child block at their roots; it lands in plain forests
   whose vertex labels name the pieces, and it intertwines products and
@@ -41,17 +41,17 @@ from .ptree import (
     PForest,
     _enum,
     admissible_partitions,
-    canonicalize,
     coarsenings,
     contract,
     enum_one_rooted,
-    graft_at,
+    generator_label,
     graft_shift,
+    grafts,
     is_one_rooted,
     serialize,
     varsigma,
-    vertices,
 )
+from .ucp import delta_perm
 
 
 # ---------------------------------------------------------------------------
@@ -63,27 +63,17 @@ def diamond(t: PForest, u: PForest) -> LinComb:
 
     The unit as right argument gives zero (the only extension under which
     the Com-PreLie laws survive)."""
-    out = LinComb()
     if u == EMPTY:
-        return out
-    for ref, nd in vertices(t):
-        out.add_term(graft_at(t, ref, NEW_BLOCK, u), 1)
-        for bi in range(len(nd[1])):
-            out.add_term(graft_at(t, ref, bi, u), 1)
-    return out
+        return LinComb()
+    return LinComb((s, 1) for s in grafts(t, u, existing=True))
 
 
 def diamond_down(t: PForest, u: PForest) -> LinComb:
     """Like `diamond`, but each grafting lowers the counter of its grafting
     vertex by one; graftings at counter zero vanish."""
-    out = LinComb()
     if u == EMPTY:
-        return out
-    for ref, nd in vertices(t):
-        out.add_term(graft_shift(t, ref, NEW_BLOCK, u, -1), 1)
-        for bi in range(len(nd[1])):
-            out.add_term(graft_shift(t, ref, bi, u, -1), 1)
-    return out
+        return LinComb()
+    return LinComb((s, 1) for s in grafts(t, u, existing=True, dk=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +82,17 @@ def diamond_down(t: PForest, u: PForest) -> LinComb:
 
 def delta_root(t: PForest) -> LinComb:
     """Remove one singleton child block of the root; the removed vertex,
-    with its subtree, is the right leg."""
+    with its subtree, is the right leg.  These are the terms of the
+    block-pruning `delta_perm` whose pruned block is a singleton."""
     assert is_one_rooted(t), serialize(t)
-    dec, blocks = t[0][0]
-    out = LinComb()
-    for bi, b in enumerate(blocks):
-        if len(b) == 1:
-            trunk = canonicalize(((
-                (dec, blocks[:bi] + blocks[bi + 1:]),),))
-            out.add_term((trunk, canonicalize((b,))), 1)
-    return out
+    return LinComb((pair, c) for pair, c in delta_perm(t).items()
+                   if len(pair[1][0]) == 1)
 
 
 def root_graft(t: PForest, u: PForest) -> PForest:
     """Graft all roots of u as one new child block of the root of t."""
     assert is_one_rooted(t), serialize(t)
-    return graft_at(t, ((0, 0),), NEW_BLOCK, u)
+    return graft_shift(t, ((0, 0),), NEW_BLOCK, u)
 
 
 def free_generators(n: int, labels) -> list[PForest]:
@@ -125,15 +110,7 @@ def theta(t: PForest) -> LinComb:
     come from `admissible_partitions`, grown top-down, so the cost follows
     the number of terms, not the Bell number of t's vertex count: a
     corolla whose leaves sit in singleton blocks has one term."""
-    out = LinComb()
-    for part in admissible_partitions(t):
-        out.add_term(contract(t, part), 1)
-    return out
-
-
-def generator_label(g: PForest) -> str:
-    """The vertex label `contract` gives a piece shaped like g."""
-    return "<" + serialize(g) + ">"
+    return LinComb((contract(t, part), 1) for part in admissible_partitions(t))
 
 
 def theta_alphabet(n: int, labels) -> list[tuple[str, int]]:
@@ -166,10 +143,7 @@ def weighted_forests(n: int, gens: list[tuple[str, int]]) -> list[PForest]:
 
 def psi_map(t: PForest) -> LinComb:
     """Sum of all sibling-block coarsenings of t, with multiplicity."""
-    out = LinComb()
-    for c in coarsenings(t):
-        out.add_term(c, 1)
-    return out
+    return LinComb((c, 1) for c in coarsenings(t))
 
 
 def psi_inverse(t: PForest) -> LinComb:

@@ -266,9 +266,9 @@ def build_root(label: str, trees: tuple, counter: int = 0) -> PForest:
 
 
 # ---------------------------------------------------------------------------
-# Surgery: grafting and counter shifts.  All take refs in canonical
-# coordinates of the input and return canonical output (or None when a
-# counter would go negative — the Zero sentinel absorbed by LinComb).
+# Surgery: grafting and counter shifts at a ref in canonical coordinates,
+# giving canonical output (or None when a counter would go negative — the
+# Zero sentinel absorbed by LinComb).  `ucp` and `dual` sum over `grafts`.
 # ---------------------------------------------------------------------------
 
 def _edit_at(blocks, ref: VertexRef, fn) -> PForest:
@@ -315,14 +315,13 @@ def graft_shift(forest: PForest, ref: VertexRef, target, graft: PForest,
         return None
 
 
-def shift_at(forest: PForest, ref: VertexRef, dk: int) -> Optional[PForest]:
-    return graft_shift(forest, ref, NEW_BLOCK, EMPTY, dk)
-
-
-def graft_at(forest: PForest, ref: VertexRef, target, graft: PForest) -> PForest:
-    out = graft_shift(forest, ref, target, graft, 0)
-    assert out is not None
-    return out
+def grafts(forest: PForest, graft: PForest, existing: bool = False,
+           dk: int = 0) -> Iterator[Optional[PForest]]:
+    """`graft_shift` at every vertex of `forest`: to a new child block, and
+    with `existing` also into each of the vertex's child blocks."""
+    for ref, (_, blocks) in vertices(forest):
+        for target in [NEW_BLOCK, *range(len(blocks) if existing else 0)]:
+            yield graft_shift(forest, ref, target, graft, dk)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +511,16 @@ def _pairs(xs: list, ys: list) -> list:
     return [(a + c, b + d) for a, b in xs for c, d in ys]
 
 
+def generator_label(piece: PForest) -> str:
+    """The vertex label `contract` gives a piece shaped like `piece`."""
+    return "<" + serialize(piece) + ">"
+
+
 def contract(tree: PForest, partition: list[frozenset]) -> PForest:
     """Collapse each piece of a vertex partition to a single vertex.
 
     The result is a plain forest whose vertex labels are the pieces'
-    serialized restrictions wrapped in angle brackets, and whose edges are
+    `generator_label`s (of their restrictions), and whose edges are
     induced: piece P sits under piece Q when the parent of P's minimal
     vertex lies in Q.  Pieces must each have a unique minimal vertex (as
     admissible ones do).
@@ -525,8 +529,7 @@ def contract(tree: PForest, partition: list[frozenset]) -> PForest:
     for i, piece in enumerate(partition):
         for r in piece:
             piece_of[r] = i
-    labels = ["<" + serialize(restrict(tree, piece)) + ">"
-              for piece in partition]
+    labels = [generator_label(restrict(tree, piece)) for piece in partition]
     # minimal vertex of a piece = the one whose parent ref is outside it
     parents = {}
     for i, piece in enumerate(partition):

@@ -9,10 +9,10 @@ Three bases, all canonical ``PForest`` keys from :mod:`comprelie.ptree`:
   grafting the unit bumps one counter per vertex.
 * ``CP(D)`` — the counter-free quotient: same trees with all counters zero.
   Grafting the unit multiplies by the vertex count.  More generally, any
-  linear decoration map f gives a quotient where grafting the unit replaces
-  the decoration of one vertex at a time by its f-image
-  (``cp_bullet_with_map``); the quotient map ``counter_elimination`` sends a
-  vertex with counter k and decoration d to the f^k(d)-relabeled vertex.
+  linear decoration map f gives a quotient CP_f along the map
+  ``counter_elimination``, which relabels a vertex with counter k and
+  decoration d by f^k(d).  The product of CP_f (``cp_bullet_with_map``) is
+  the image of UCP's, so grafting the unit applies f to one vertex at a time.
 * ``H_CK(D)`` — plain decorated rooted forests with disjoint-union product:
   the further quotient where the block structure under each vertex is
   forgotten.  This is the Connes-Kreimer Hopf algebra of rooted trees.
@@ -37,23 +37,20 @@ from .lincomb import LinComb, tensor, unit
 from .linalg import sparse_nullity
 from .ptree import (
     EMPTY,
-    NEW_BLOCK,
     PForest,
-    _edit_at,
     build_root,
     canonicalize,
+    counter_total,
     enum_partitioned,
     forget_blocks,
-    graft_at,
+    grafts,
     ideals,
     is_partitioned_tree,
     mul_disjoint,
     mul_merge,
     nvertices,
     serialize,
-    shift_at,
     split_ideal,
-    vertices,
 )
 from .shuffle import Word
 
@@ -65,48 +62,25 @@ from .shuffle import Word
 def ucp_bullet(t: PForest, u: PForest) -> LinComb:
     """Graft u at every vertex of t as a fresh child block; grafting the
     empty forest bumps one counter per vertex instead."""
-    out = LinComb()
-    if u == EMPTY:
-        for ref, _ in vertices(t):
-            out.add_term(shift_at(t, ref, +1), 1)
-    else:
-        for ref, _ in vertices(t):
-            out.add_term(graft_at(t, ref, NEW_BLOCK, u), 1)
-    return out
+    return LinComb((s, 1) for s in grafts(t, u, dk=int(u == EMPTY)))
 
 
 def cp_bullet(t: PForest, u: PForest) -> LinComb:
     """Counter-free grafting: t • ∅ = (number of vertices) t."""
     if u == EMPTY:
         return LinComb(((t, Fraction(nvertices(t))),))
-    out = LinComb()
-    for ref, _ in vertices(t):
-        out.add_term(graft_at(t, ref, NEW_BLOCK, u), 1)
-    return out
-
-
-def _relabel_at(t: PForest, ref, newlabel: str) -> PForest:
-    def fn(nd):
-        (k, d), blocks = nd
-        return ((k, newlabel), blocks)
-    return canonicalize(_edit_at(t, ref, fn))
+    return LinComb((s, 1) for s in grafts(t, u))
 
 
 def cp_bullet_with_map(fmap: Mapping[str, Mapping]) -> Callable:
-    """Counter-free grafting twisted by a linear decoration map.
+    """Counter-free grafting twisted by a linear decoration map `fmap`
+    (label -> mapping label -> coefficient): `ucp_bullet` followed by
+    `counter_elimination(fmap)`, so grafting the empty forest applies the
+    map to one vertex at a time."""
+    phi = counter_elimination(fmap)
 
-    `fmap` sends a label to a linear combination of labels (any mapping
-    label -> coefficient).  Grafting the empty forest applies the map to one
-    vertex at a time; grafting anything else is plain new-block grafting.
-    """
     def bullet(t: PForest, u: PForest) -> LinComb:
-        if u != EMPTY:
-            return cp_bullet(t, u)
-        out = LinComb()
-        for ref, nd in vertices(t):
-            for e, c in fmap.get(nd[0][1], {}).items():
-                out.add_term(_relabel_at(t, ref, e), c)
-        return out
+        return ucp_bullet(t, u).map_linear(phi)
     return bullet
 
 
@@ -115,10 +89,7 @@ def hck_bullet(f: PForest, g: PForest) -> LinComb:
     vertex of f (summed over vertices); f • ∅ = (number of vertices) f."""
     if g == EMPTY:
         return LinComb(((f, Fraction(nvertices(f))),))
-    out = LinComb()
-    for ref, _ in vertices(f):
-        out.add_term(forget_blocks(graft_at(f, ref, NEW_BLOCK, g)), 1)
-    return out
+    return LinComb((forget_blocks(s), 1) for s in grafts(f, g))
 
 
 def mul_merge_lc(a: PForest, b: PForest) -> LinComb:
@@ -209,6 +180,8 @@ def counter_elimination(fmap: Mapping[str, Mapping]
         return tensor(*(tensor(*map(expand_node, b)) for b in blocks))
 
     def phi(t: PForest) -> LinComb:
+        if not counter_total(t):  # f^0 is the identity
+            return unit(t)
         return expand_blocks(t).map_keys(canonicalize)
 
     return phi

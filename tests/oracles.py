@@ -3,6 +3,10 @@
 Each recomputes a map the package computes in closed form, the long way
 round; the tests compare the two.
 
+* ``ucp_bullet_loop``, ``cp_bullet_loop``, ``hck_bullet_loop``,
+  ``diamond_loop``, ``cp_bullet_with_map_loop`` and ``delta_root_loop``,
+  one loop over the vertices (or the root's blocks) each, gate the sums
+  over ``ptree.grafts`` in ``ucp`` and ``dual`` and ``dual.delta_root``;
 * ``counter_elimination_recursive`` gates ``ucp.counter_elimination``;
 * ``cm_delta_oracle`` gates ``ucp.cm_delta_closed``;
 * ``bullet_tvf_shuffles`` gates ``shuffle.bullet_tvf``;
@@ -36,16 +40,16 @@ from hypothesis import strategies as st
 from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.oudom import Extension
 from comprelie.ptree import (
-    EMPTY, Block, Node, ParseError, PForest, _multisets, build_root,
-    canonicalize, is_one_rooted, is_partitioned_tree, nvertices, restrict,
-    serialize, set_partitions, varsigma, vertices,
+    EMPTY, NEW_BLOCK, Block, Node, ParseError, PForest, _multisets,
+    build_root, canonicalize, forget_blocks, graft_shift,
+    is_one_rooted, is_partitioned_tree, nvertices, restrict, serialize,
+    set_partitions, varsigma, vertices,
 )
 from comprelie.shuffle import (
     EndoV, Varpi, Word, apply_endo, shuffle, words_of_length,
 )
 from comprelie.ucp import (
-    _power_map, cm_x, coproduct_hck, cp_bullet_with_map, mul_disjoint_lc,
-    mul_merge_lc,
+    _power_map, cm_x, coproduct_hck, mul_disjoint_lc, mul_merge_lc,
 )
 
 
@@ -374,6 +378,86 @@ def n_admissible(forest: PForest) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The grafting products and root pruning, each an explicit loop over the
+# vertices (or the root's child blocks) of its own.
+# ---------------------------------------------------------------------------
+
+def ucp_bullet_loop(t: PForest, u: PForest) -> LinComb:
+    out = LinComb()
+    for ref, _ in vertices(t):
+        if u == EMPTY:
+            out.add_term(graft_shift(t, ref, NEW_BLOCK, EMPTY, +1), 1)
+        else:
+            out.add_term(graft_shift(t, ref, NEW_BLOCK, u), 1)
+    return out
+
+
+def cp_bullet_loop(t: PForest, u: PForest) -> LinComb:
+    if u == EMPTY:
+        return LinComb(((t, nvertices(t)),))
+    out = LinComb()
+    for ref, _ in vertices(t):
+        out.add_term(graft_shift(t, ref, NEW_BLOCK, u), 1)
+    return out
+
+
+def hck_bullet_loop(f: PForest, g: PForest) -> LinComb:
+    if g == EMPTY:
+        return LinComb(((f, nvertices(f)),))
+    out = LinComb()
+    for ref, _ in vertices(f):
+        out.add_term(forget_blocks(graft_shift(f, ref, NEW_BLOCK, g)), 1)
+    return out
+
+
+def diamond_loop(t: PForest, u: PForest, dk: int = 0) -> LinComb:
+    """`dual.diamond`, and with dk=-1 `dual.diamond_down`."""
+    out = LinComb()
+    if u == EMPTY:
+        return out
+    for ref, nd in vertices(t):
+        out.add_term(graft_shift(t, ref, NEW_BLOCK, u, dk), 1)
+        for bi in range(len(nd[1])):
+            out.add_term(graft_shift(t, ref, bi, u, dk), 1)
+    return out
+
+
+def _relabel_at(blocks, ref, label: str):
+    """`blocks` with the vertex at `ref` relabeled (raw, not re-sorted)."""
+    (bi, ni), rest = ref[0], ref[1:]
+    dec, kids = blocks[bi][ni]
+    nd = (dec, _relabel_at(kids, rest, label)) if rest else ((dec[0], label),
+                                                              kids)
+    block = blocks[bi][:ni] + (nd,) + blocks[bi][ni + 1:]
+    return blocks[:bi] + (block,) + blocks[bi + 1:]
+
+
+def cp_bullet_with_map_loop(fmap: Mapping[str, Mapping]) -> Callable:
+    """`ucp.cp_bullet_with_map`: grafting the empty forest relabels one
+    vertex at a time by its f-image."""
+    def bullet(t: PForest, u: PForest) -> LinComb:
+        if u != EMPTY:
+            return cp_bullet_loop(t, u)
+        out = LinComb()
+        for ref, nd in vertices(t):
+            for e, c in fmap.get(nd[0][1], {}).items():
+                out.add_term(canonicalize(_relabel_at(t, ref, e)), c)
+        return out
+    return bullet
+
+
+def delta_root_loop(t: PForest) -> LinComb:
+    """`dual.delta_root`: prune one singleton child block of the root."""
+    dec, blocks = t[0][0]
+    out = LinComb()
+    for bi, b in enumerate(blocks):
+        if len(b) == 1:
+            trunk = canonicalize((((dec, blocks[:bi] + blocks[bi + 1:]),),))
+            out.add_term((trunk, canonicalize((b,))), 1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Counter elimination by structural recursion through the symmetric-word
 # extension.
 # ---------------------------------------------------------------------------
@@ -385,7 +469,7 @@ def counter_elimination_recursive(fmap: Mapping[str, Mapping]
     grafted with the symmetric word of its child blocks, and push both
     through the quotient.  Quadratically slower than the closed rule; used
     to gate it."""
-    bullet = cp_bullet_with_map(fmap)
+    bullet = cp_bullet_with_map_loop(fmap)
     ext = Extension(bullet, serialize)
     fpow = _power_map(fmap)
     memo: dict[PForest, LinComb] = {}

@@ -325,6 +325,33 @@ def test_word_letter_outside_the_alphabet_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["coprod", "--algebra", "cp", "{[d],[e]}"],
+    ["coprod", "--algebra", "ucp", "{[d],[e]}"],
+    ["coprod", "--algebra", "hck", "{[d,e]}"],
+    ["eval", "--algebra", "cp", "{[d],[e]}", "{}"],
+    ["eval", "--algebra", "dual-ucp", "{}", "{[d]}"],
+])
+def test_tree_outside_the_basis_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "outside the" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--algebra", "ucp", "{[d:2,e([d:1],[e])]}", "{}"],
+    ["eval", "--algebra", "dual-ucp", "{[d:1([e])]}", "{[e([e,e])]}"],
+    ["coprod", "--algebra", "hck", "{[d],[e([d],[e])]}"],
+    ["coprod", "--algebra", "cp", "{[d,e([d,e])]}"],
+])
+def test_tree_in_the_basis_is_accepted(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["enum", "--n", "-2"],
     ["kerdelta", "--degree", "-1"],
     ["check", "--algebra", "cp", "--maxdeg", "-3"],
@@ -396,12 +423,12 @@ def test_word_algebras_parse_the_alphabet_like_every_verb(capsys,
     assert swept == [("a", "b")] * 4
 
 
-@settings(max_examples=200, deadline=None)
-@given(parser_inputs)
-def test_delta_on_any_text_exits_0_or_2(text):
+def exits_0_or_2(argv):
+    """Run `main` in process: exit 0 with output and a quiet stderr, or
+    exit 2 with nothing on stdout and one error line."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        rc = main(["delta", text])
+        rc = main(argv)
     if rc == 0:
         assert out.getvalue() and not err.getvalue()
     else:
@@ -409,6 +436,19 @@ def test_delta_on_any_text_exits_0_or_2(text):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(parser_inputs)
+def test_delta_on_any_text_exits_0_or_2(text):
+    exits_0_or_2(["delta", text])
+
+
+@pytest.mark.parametrize("algebra", ["ucp", "cp", "hck"])
+@settings(max_examples=200, deadline=None)
+@given(text=parser_inputs)
+def test_coprod_on_any_text_exits_0_or_2(algebra, text):
+    exits_0_or_2(["coprod", "--algebra", algebra, text])
 
 
 DEEP_PATH = "{[" + "d([" * 399 + "d" + "])" * 399 + "]}"

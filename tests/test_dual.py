@@ -8,14 +8,15 @@ from comprelie.lincomb import (
 from comprelie.linalg import rank
 from comprelie.ptree import (
     EMPTY, parse, serialize, enum_partitioned, enum_one_rooted, mul_merge,
-    mul_disjoint, shift_at, varsigma, vertices,
+    mul_disjoint, NEW_BLOCK, graft_shift, generator_label, varsigma,
+    vertices,
 )
 from comprelie.ucp import (
     cp_bullet, mul_merge_lc, coproduct_cp, coproduct_hck,
 )
 from comprelie.dual import (
     diamond, diamond_down, delta_root, root_graft, free_generators,
-    theta, theta_alphabet, generator_label, weighted_trees, weighted_forests,
+    theta, theta_alphabet, weighted_trees, weighted_forests,
     psi_map, psi_inverse,
 )
 
@@ -75,8 +76,8 @@ def counterful_one_rooted():
         for t in enum_one_rooted(n, ("d",)):
             out.append(t)
             for ref, _ in vertices(t):
-                s = shift_at(t, ref, +1)
-                out.extend([s, shift_at(s, ref, +1)])
+                s = graft_shift(t, ref, NEW_BLOCK, EMPTY, +1)
+                out.extend([s, graft_shift(s, ref, NEW_BLOCK, EMPTY, +1)])
     return sorted(set(out), key=serialize)
 
 

@@ -1,8 +1,11 @@
-"""Every top-level definition of the package is used somewhere.
+"""Every top-level definition of the package is used somewhere, and every
+import is used by the module that makes it.
 
 A function, class or assigned name defined at the top level of a module
 under `src/comprelie` must appear as a code token (not in a comment or a
 string) on some line of `src/` or `tests/` outside its own definition.
+A name a module under `src/comprelie` imports must occur as a name in
+that module's code.
 """
 
 import ast
@@ -59,6 +62,25 @@ def unreferenced(root: Path) -> list[str]:
     return dead
 
 
+def unused_imports(root: Path) -> list[str]:
+    """module.name for every name a module imports but never reads."""
+    dead = []
+    for path in sorted((root / "src" / "comprelie").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0]
+                             for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported += [a.asname or a.name for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        dead += [f"{path.stem}.{name}" for name in imported
+                 if name not in used]
+    return dead
+
+
 def test_every_top_level_name_is_referenced():
     assert unreferenced(ROOT) == []
 
@@ -73,3 +95,20 @@ def test_the_guard_sees_a_dead_helper(tmp_path):
         "X = used()\n")
     (tmp_path / "tests" / "test_m.py").write_text("from m import X\n")
     assert unreferenced(tmp_path) == ["m.dead"]
+
+
+def test_every_import_is_used():
+    assert unused_imports(ROOT) == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    pkg = tmp_path / "src" / "comprelie"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import re as regex\n"
+        "from .ptree import EMPTY, parse as read, serialize\n\n\n"
+        "def f(text: str):\n"
+        "    return os.path.join(serialize(read(text)), EMPTY)\n")
+    assert unused_imports(tmp_path) == ["m.regex"]

@@ -7,7 +7,7 @@ from comprelie import ptree
 from comprelie.handles import with_counters
 from comprelie.ptree import (
     EMPTY, NEW_BLOCK, parse, serialize, canonicalize, nvertices, vertices,
-    graft_at, shift_at, split_ideal, ideals, restrict, varsigma,
+    graft_shift, split_ideal, ideals, restrict, varsigma,
     coarsenings, coarsens_to, admissible_partitions, contract,
     mul_merge, mul_disjoint, forget_blocks, drop_counters, build_root,
     is_partitioned_tree, is_plain, is_one_rooted, counter_total,
@@ -293,9 +293,9 @@ def test_graft_goldens():
     tdeux = parse("{[r([l])]}")
     tun = parse("{[m]}")
     refs = build_ref_map(tdeux)
-    assert serialize(graft_at(tdeux, refs["r"], NEW_BLOCK, tun)) == "{[r([l],[m])]}"
-    assert serialize(graft_at(tdeux, refs["r"], 0, tun)) == "{[r([l,m])]}"
-    assert serialize(graft_at(tdeux, refs["l"], NEW_BLOCK, tun)) == "{[r([l([m])])]}"
+    assert serialize(graft_shift(tdeux, refs["r"], NEW_BLOCK, tun)) == "{[r([l],[m])]}"
+    assert serialize(graft_shift(tdeux, refs["r"], 0, tun)) == "{[r([l,m])]}"
+    assert serialize(graft_shift(tdeux, refs["l"], NEW_BLOCK, tun)) == "{[r([l([m])])]}"
 
 
 def test_graft_multi_root():
@@ -303,17 +303,19 @@ def test_graft_multi_root():
     t = parse("{[r]}")
     h = parse("{[a,b]}")
     refs = build_ref_map(t)
-    assert serialize(graft_at(t, refs["r"], NEW_BLOCK, h)) == "{[r([a,b])]}"
+    assert serialize(graft_shift(t, refs["r"], NEW_BLOCK, h)) == "{[r([a,b])]}"
 
 
 def test_shift():
     t = parse("{[r([l])]}")
     refs = build_ref_map(t)
-    assert serialize(shift_at(t, refs["l"], 2)) == "{[r([l:2])]}"
-    assert shift_at(t, refs["l"], -1) is None
+    assert serialize(graft_shift(t, refs["l"], NEW_BLOCK, EMPTY, 2)) \
+        == "{[r([l:2])]}"
+    assert graft_shift(t, refs["l"], NEW_BLOCK, EMPTY, -1) is None
     t2 = parse("{[r:1([l])]}")
     refs2 = build_ref_map(t2)
-    assert serialize(shift_at(t2, refs2["r:1"], -1)) == "{[r([l])]}"
+    assert serialize(graft_shift(t2, refs2["r:1"], NEW_BLOCK, EMPTY, -1)) \
+        == "{[r([l])]}"
 
 
 # --- ideals and splitting ------------------------------------------------------

@@ -10,7 +10,7 @@ from comprelie.lincomb import (
 from comprelie.ptree import (
     EMPTY, parse, serialize, drop_counters, forget_blocks, mul_merge,
     mul_disjoint, nvertices, enum_partitioned, enum_plain_forests,
-    shift_at, vertices, is_plain,
+    NEW_BLOCK, graft_shift, vertices, is_plain,
 )
 from comprelie.shuffle import bullet_tvf, words_of_length
 from comprelie.ucp import (
@@ -116,7 +116,7 @@ def bump_some(trees):
     out = list(trees)
     for t in trees:
         for ref, _ in vertices(t):
-            out.append(shift_at(t, ref, +1))
+            out.append(graft_shift(t, ref, NEW_BLOCK, EMPTY, +1))
     return out
 
 
@@ -289,7 +289,7 @@ def counterful(budget=2):
                 nxt = []
                 for s in frontier:
                     for ref, _ in vertices(s):
-                        s2 = shift_at(s, ref, +1)
+                        s2 = graft_shift(s, ref, NEW_BLOCK, EMPTY, +1)
                         if s2 not in seen:
                             seen.add(s2)
                             nxt.append(s2)
