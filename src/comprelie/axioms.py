@@ -29,20 +29,24 @@ a)), the pair algebra with componentwise product and
     prelie((a1, a2), (b1, b2)) = (prelie(a1, b1), a2.b2)
                                + eps(b1) * ((a1,), prelie(a2, b2))
 
-is again Com-PreLie.  Iterating the construction is associative, and
-eps (x) Id is a morphism onto the second factor; both are exposed as
-checks rather than assumed.
+is again Com-PreLie.  Maps between handles are checked, not assumed, by
+one law, ``check_morphism``: it covers the reassociation of iterated
+tensors, eps (x) Id onto the second factor, the coproduct A -> A (x) A
+(with eps the counit), and the quotient maps UCP -> CP -> H_CK.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .lincomb import LinComb, bilinear_extend, fmt_lincomb, tensor, unit
+from .lincomb import (
+    LinComb, bilinear_extend, fmt_lincomb, tensor, tensor_apply2, unit,
+)
 
 
 @dataclass(frozen=True)
@@ -418,7 +422,10 @@ def tensor_comprelie(a1: AlgebraHandle, a2: AlgebraHandle,
     """The Com-PreLie structure on pairs: componentwise commutative
     product, and the preLie product acting on the first slot plus an
     eps-weighted action on the second.  Requires eps(prelie(a, b)) ==
-    eps(prelie(b, a)) on the range swept (see check_eps_symmetry)."""
+    eps(prelie(b, a)) on the range swept (see check_eps_symmetry).  With
+    eps the counit of a bialgebra A, its coproduct is a morphism onto
+    tensor_comprelie(A, A): check_morphism(A, tensor_comprelie(A, A),
+    A.coproduct, maxdeg)."""
     e = eps if eps is not None else a1.counit
     if e is None:
         raise ValueError(f"{a1.name} needs an eps functional")
@@ -464,63 +471,32 @@ def check_eps_symmetry(alg: AlgebraHandle, eps: Callable,
         alg, _basis_slices(alg, maxdeg), 2, maxdeg, fails))
 
 
-def _reassociate(x: LinComb) -> LinComb:
-    """((k1, k2), k3) keys -> (k1, (k2, k3)) keys."""
-    return x.map_keys(lambda k: (k[0][0], (k[0][1], k[1])))
+def check_morphism(src: AlgebraHandle, dst: AlgebraHandle, phi: Callable,
+                   maxdeg: int) -> list[LawReport]:
+    """phi, a map from src basis keys to LinCombs over dst keys, is a
+    morphism.  One report for each structure both handles have, in the
+    order morphism-mul, morphism-prelie, morphism-coproduct ((phi (x) phi)
+    D = D phi), morphism-counit and morphism-unit (src's unit alone); the
+    witness is the first failing tuple of src basis keys of total degree
+    <= maxdeg.  phi is memoised for the call."""
+    s, d, f = _Ops(src), _Ops(dst), functools.cache(phi)
+    slices = _basis_slices(src, maxdeg)
 
+    def sweep(arity, fails):
+        return basis_witnesses(src, slices, arity, maxdeg, fails)
 
-def check_tensor_assoc(a1: AlgebraHandle, a2: AlgebraHandle,
-                       a3: AlgebraHandle, maxdeg: int) -> LawReport:
-    """Iterating the tensor construction is associative: (A1 (x) A2) (x) A3
-    and A1 (x) (A2 (x) A3) have equal products under key reassociation."""
-    left = tensor_comprelie(tensor_comprelie(a1, a2), a3)
-    right = tensor_comprelie(a1, tensor_comprelie(a2, a3))
-
-    def fails(p, q):
-        rp, rq = (p[0][0], (p[0][1], p[1])), (q[0][0], (q[0][1], q[1]))
-        return (_reassociate(left.prelie(p, q)) != right.prelie(rp, rq)
-                or _reassociate(left.mul(p, q)) != right.mul(rp, rq))
-
-    return first_witness(
-        "tensor-assoc", f"{a1.name}(x){a2.name}(x){a3.name}", maxdeg,
-        basis_witnesses(left, _basis_slices(left, maxdeg), 2, maxdeg, fails))
-
-
-def check_eps_id_morphism(a1: AlgebraHandle, a2: AlgebraHandle,
-                          maxdeg: int, eps: Optional[Callable] = None
-                          ) -> LawReport:
-    """eps (x) Id maps the tensor algebra onto the second factor as a
-    morphism for both products."""
-    e = eps if eps is not None else a1.counit
-    t = tensor_comprelie(a1, a2, eps=e)
-    ops2 = _Ops(a2)
-
-    def collapse(x: LinComb) -> LinComb:
-        out = LinComb()
-        for (k1, k2), c in x.items():
-            out.add_term(k2, c * e(k1))
-        return out
-
-    def fails(p, q):
-        w = e(p[0]) * e(q[0])
-        return (collapse(t.prelie(p, q)) != ops2.prelie_k(p[1], q[1]).scale(w)
-                or collapse(t.mul(p, q)) != ops2.mul_k(p[1], q[1]).scale(w))
-
-    return first_witness("eps-id-morphism", t.name, maxdeg, basis_witnesses(
-        t, _basis_slices(t, maxdeg), 2, maxdeg, fails))
-
-
-def check_coproduct_morphism(alg: AlgebraHandle, maxdeg: int) -> LawReport:
-    """With eps = counit, the coproduct is a morphism of Com-PreLie
-    algebras from A to A (x) A — an equivalent packaging of the
-    compatibility law, computed through tensor_comprelie."""
-    ops = _Ops(alg)
-    tops = _Ops(tensor_comprelie(alg, alg))
-
-    def fails(a, b):
-        return (ops.cop(ops.prelie_k(a, b))
-                != tops.prelie(ops.cop_k(a), ops.cop_k(b)))
-
-    return first_witness("coproduct-morphism", alg.name, maxdeg,
-                         basis_witnesses(alg, _basis_slices(alg, maxdeg), 2,
-                                        maxdeg, fails))
+    streams = {  # lazy: a stream is drawn only if both handles have the law
+        "mul": sweep(2, lambda a, b: s.mul_k(a, b).map_linear(f)
+                     != d.mul(f(a), f(b))),
+        "prelie": sweep(2, lambda a, b: s.prelie_k(a, b).map_linear(f)
+                        != d.prelie(f(a), f(b))),
+        "coproduct": sweep(1, lambda a: tensor_apply2(s.cop_k(a), f, f)
+                           != d.cop(f(a))),
+        "counit": sweep(1, lambda a: d.counit(f(a)) != src.counit(a)),
+        "unit": basis_witnesses(src, {0: [src.unit]}, 1, 0,
+                                lambda a: f(a) != unit(dst.unit)),
+    }
+    name = f"{src.name}->{dst.name}"
+    return [first_witness("morphism-" + law, name, maxdeg, stream)
+            for law, stream in streams.items()
+            if _supported(src, [law]) and _supported(dst, [law])]

@@ -136,14 +136,6 @@ def counit(forest: PForest) -> Fraction:
     return Fraction(1 if forest == EMPTY else 0)
 
 
-def reduced_coproduct(cop: Callable[[PForest], LinComb], t: PForest) -> LinComb:
-    """cop(t) minus the two primitive-part terms t⊗∅ and ∅⊗t."""
-    out = cop(t)
-    out.add_term((t, EMPTY), -1)
-    out.add_term((EMPTY, t), -1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Counter elimination along a decoration map.  `fmap` as above; the closed
 # per-vertex rule replaces a counter-k vertex decorated d by the linear
@@ -185,10 +177,6 @@ def counter_elimination(fmap: Mapping[str, Mapping]
         return expand_blocks(t).map_keys(canonicalize)
 
     return phi
-
-
-def identity_map(labels) -> dict[str, LinComb]:
-    return {d: unit(d) for d in labels}
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ from comprelie.axioms import (
     basis_tuples,
     check_bialgebra_compat,
     check_comprelie,
-    check_coproduct_morphism,
-    check_eps_id_morphism,
     check_eps_symmetry,
-    check_tensor_assoc,
+    check_morphism,
     corrupt,
     first_witness,
     mutation_selftest,
@@ -228,18 +226,54 @@ def test_eps_symmetry_of_counits():
         assert check_eps_symmetry(alg, alg.counit, 3).ok
 
 
+def tensor_assoc(a1, a2, a3, maxdeg):
+    """Key reassociation (A1 (x) A2) (x) A3 -> A1 (x) (A2 (x) A3)."""
+    left = tensor_comprelie(tensor_comprelie(a1, a2), a3)
+    right = tensor_comprelie(a1, tensor_comprelie(a2, a3))
+    return check_morphism(left, right,
+                          lambda k: unit((k[0][0], (k[0][1], k[1]))), maxdeg)
+
+
+def eps_id(a1, a2, maxdeg, eps=None):
+    """eps (x) Id from the tensor algebra onto the second factor."""
+    e = eps if eps is not None else a1.counit
+    return check_morphism(tensor_comprelie(a1, a2, eps=e), a2,
+                          lambda k: unit(k[1]).scale(e(k[0])), maxdeg)
+
+
+def coproduct_morphism(alg, maxdeg):
+    """D : A -> A (x) A, the tensor taken with eps = counit."""
+    return check_morphism(alg, tensor_comprelie(alg, alg), alg.coproduct,
+                          maxdeg)
+
+
+# the reports of a morphism into or out of a tensor handle, which has no
+# coproduct
+TENSOR_MORPHISM_LAWS = (
+    "morphism-mul", "morphism-prelie", "morphism-counit", "morphism-unit")
+
+
+def pinned(algebra, *verdicts):
+    """The report lines of a tensor morphism check, one verdict a law."""
+    assert len(verdicts) == len(TENSOR_MORPHISM_LAWS)
+    return [f"{law} {algebra} {v}"
+            for law, v in zip(TENSOR_MORPHISM_LAWS, verdicts)]
+
+
 def test_tensor_associativity():
-    assert check_tensor_assoc(cp_handle(), cp_handle(), cp_handle(), 2).ok
+    assert all_pass(tensor_assoc(cp_handle(), cp_handle(), cp_handle(), 2))
 
 
 def test_eps_id_collapses_to_second_factor():
-    assert check_eps_id_morphism(cp_handle(), cp_handle(), 2).ok
-    assert check_eps_id_morphism(cp_handle(), tvf_handle(), 2).ok
+    assert all_pass(eps_id(cp_handle(), cp_handle(), 2))
+    assert all_pass(eps_id(cp_handle(), tvf_handle(), 2))
 
 
-@pytest.mark.parametrize("name", ["cp", "hck"])
+@pytest.mark.parametrize("name", ["ucp", "cp", "hck", "tvf", "degneg1"])
 def test_coproduct_is_a_morphism(name):
-    assert check_coproduct_morphism(get_handle(name), 3).ok
+    reports = coproduct_morphism(get_handle(name), 3)
+    assert tuple(r.law for r in reports) == TENSOR_MORPHISM_LAWS
+    assert all_pass(reports)
 
 
 def test_tensor_basis_grading():
@@ -282,24 +316,32 @@ def test_tensor_assoc_failure_witness():
         return out
 
     a1 = replace(base, name="cp~", prelie=drifting)
-    assert check_tensor_assoc(a1, base, base, 2).line() == (
-        "tensor-assoc cp~(x)cp(x)cp 2 FAIL "
-        "x=(({[d]})(x)({}))(x)({}) y=(({})(x)({}))(x)({})")
+    assert report_lines(tensor_assoc(a1, base, base, 2)) == pinned(
+        "cp~(x)cp(x)cp->cp~(x)cp(x)cp 2", "PASS",
+        "FAIL x=(({[d]})(x)({}))(x)({}) y=(({})(x)({}))(x)({})",
+        "PASS", "PASS")
 
 
 def test_eps_id_morphism_failure_witness():
-    assert check_eps_id_morphism(corrupt(cp_handle(), "counit"), cp_handle(),
-                                 2).line() == (
-        "eps-id-morphism cp!counit(x)cp 2 FAIL x=({[d]})(x)({}) y=({})(x)({})")
-    assert check_eps_id_morphism(cp_handle(), cp_handle(), 2,
-                                 eps=lambda k: 1).line() == (
-        "eps-id-morphism cp(x)cp 2 FAIL x=({[d]})(x)({}) y=({})(x)({})")
+    assert report_lines(eps_id(corrupt(cp_handle(), "counit"), cp_handle(),
+                               2)) == pinned(
+        "cp!counit(x)cp->cp 2",
+        "FAIL x=({[d]})(x)({}) y=({[d]})(x)({})",
+        "FAIL x=({[d]})(x)({}) y=({})(x)({})",
+        "PASS", "PASS")
+    assert report_lines(eps_id(cp_handle(), cp_handle(), 2,
+                               eps=lambda k: 1)) == pinned(
+        "cp(x)cp->cp 2", "PASS",
+        "FAIL x=({[d]})(x)({}) y=({})(x)({})",
+        "FAIL x=({[d]})(x)({})", "PASS")
 
 
 def test_coproduct_morphism_failure_witness():
-    assert check_coproduct_morphism(corrupt(cp_handle(), "coproduct"),
-                                    2).line() == \
-        "coproduct-morphism cp!coproduct 2 FAIL x={[d]} y={}"
-    assert check_coproduct_morphism(corrupt(cp_handle(), "counit"),
-                                    2).line() == \
-        "coproduct-morphism cp!counit 2 FAIL x={[d]} y={[d]}"
+    assert report_lines(coproduct_morphism(corrupt(cp_handle(), "coproduct"),
+                                           2)) == pinned(
+        "cp!coproduct->cp!coproduct(x)cp!coproduct 2",
+        "FAIL x={} y={}", "FAIL x={[d]} y={}", "FAIL x={}", "FAIL x={}")
+    assert report_lines(coproduct_morphism(corrupt(cp_handle(), "counit"),
+                                           2)) == pinned(
+        "cp!counit->cp!counit(x)cp!counit 2", "PASS",
+        "FAIL x={[d]} y={[d]}", "FAIL x={[d]}", "PASS")

@@ -3,7 +3,8 @@ import is used by the module that makes it.
 
 A function, class or assigned name defined at the top level of a module
 under `src/comprelie` must appear as a code token (not in a comment or a
-string) on some line of `src/` or `tests/` outside its own definition.
+string) on some line of `src/` or `tests/` outside its own definition and
+outside every import statement: a name that is only imported is not used.
 A name a module under `src/comprelie` imports must occur as a name in
 that module's code.
 """
@@ -19,13 +20,17 @@ ALLOWED = {"__version__"}
 
 
 def name_lines(root: Path) -> dict:
-    """name -> set of (path, line) where it occurs as a code token."""
+    """name -> set of (path, line) where it occurs as a code token, lines
+    of import statements left out."""
     seen = defaultdict(set)
     for path in sorted(root.glob("src/**/*.py")) + sorted(
             root.glob("tests/**/*.py")):
-        toks = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-        for tok in toks:
-            if tok.type == tokenize.NAME:
+        text = path.read_text()
+        imports = {ln for node in ast.walk(ast.parse(text))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for ln in range(node.lineno, node.end_lineno + 1)}
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME and tok.start[0] not in imports:
                 seen[tok.string].add((path, tok.start[0]))
     return seen
 
@@ -93,8 +98,22 @@ def test_the_guard_sees_a_dead_helper(tmp_path):
         "def used():\n    return 1\n\n\n"
         "def dead():\n    return dead()  # dead\n\n\n"
         "X = used()\n")
-    (tmp_path / "tests" / "test_m.py").write_text("from m import X\n")
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from m import X\n\nassert X == 1\n")
     assert unreferenced(tmp_path) == ["m.dead"]
+
+
+def test_the_guard_does_not_count_an_import_as_a_use(tmp_path):
+    pkg = tmp_path / "src" / "comprelie"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (pkg / "m.py").write_text(
+        "def called():\n    return 1\n\n\n"
+        "def imported():\n    return 2\n")
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from m import (\n    called,\n    imported,\n)\n\n\n"
+        "def test_called():\n    assert called() == 1\n")
+    assert unreferenced(tmp_path) == ["m.imported"]
 
 
 def test_every_import_is_used():

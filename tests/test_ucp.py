@@ -1,23 +1,25 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from comprelie.axioms import all_pass, check_morphism, report_lines
+from comprelie.handles import cp_handle, hck_handle, ucp_handle
 from comprelie.lincomb import (
     LinComb, unit, bilinear_extend, tensor, tensor_apply2,
 )
 from comprelie.ptree import (
     EMPTY, parse, serialize, drop_counters, forget_blocks, mul_merge,
     mul_disjoint, nvertices, enum_partitioned, enum_plain_forests,
-    NEW_BLOCK, graft_shift, vertices, is_plain,
+    NEW_BLOCK, graft_shift, vertices, is_plain, canonicalize,
 )
 from comprelie.shuffle import bullet_tvf, words_of_length
 from comprelie.ucp import (
     ucp_bullet, cp_bullet, cp_bullet_with_map, hck_bullet,
     mul_merge_lc, mul_disjoint_lc,
-    coproduct_ucp, coproduct_cp, coproduct_hck, counit, reduced_coproduct,
-    counter_elimination, identity_map,
+    coproduct_ucp, coproduct_cp, coproduct_hck, counit, counter_elimination,
     delta_perm, kernel_delta_dim,
     cm_grow, cm_x, cm_delta_closed,
 )
@@ -80,6 +82,7 @@ def test_hck_bullet_splits_blocks():
 
 DLAB = ("d",)
 ABLAB = ("a", "b")
+DELAB = ("d", "e")
 CP3 = [t for n in range(4) for t in enum_partitioned(n, DLAB)]
 CP3AB = [t for n in range(4) for t in enum_partitioned(n, ABLAB)]
 
@@ -253,27 +256,6 @@ def test_bullet_coproduct_compatibility():
 
 # --- quotients ---------------------------------------------------------------
 
-def test_drop_counters_intertwines():
-    for t in UCP2:
-        lhs = coproduct_ucp(t).map_keys(
-            lambda k: (drop_counters(k[0]), drop_counters(k[1])))
-        assert lhs == coproduct_cp(drop_counters(t))
-        for u in UCP2[:10]:
-            lhs2 = ucp_bullet(t, u).map_keys(drop_counters)
-            rhs2 = cp_bullet(drop_counters(t), drop_counters(u))
-            assert lhs2 == rhs2
-
-
-def test_forget_blocks_intertwines():
-    for t in CP3AB:
-        lhs = coproduct_cp(t).map_keys(
-            lambda k: (forget_blocks(k[0]), forget_blocks(k[1])))
-        assert lhs == coproduct_hck(forget_blocks(t))
-        for u in CP3AB[:10]:
-            assert (cp_bullet(t, u).map_keys(forget_blocks)
-                    == hck_bullet(forget_blocks(t), forget_blocks(u)))
-
-
 NILP = {"a": unit("b"), "b": LinComb()}
 GEN = {"a": LinComb({"a": Fraction(1, 2), "b": Fraction(3)}),
        "b": LinComb({"a": Fraction(-1), "b": Fraction(2, 5)})}
@@ -297,7 +279,7 @@ def counterful(budget=2):
     return sorted(seen, key=serialize)
 
 
-@pytest.mark.parametrize("fmap", [identity_map(ABLAB), NILP, GEN],
+@pytest.mark.parametrize("fmap", [{d: unit(d) for d in ABLAB}, NILP, GEN],
                          ids=["id", "nilpotent", "generic"])
 def test_counter_elimination_gate(fmap):
     # the closed per-vertex rule against the structural recursion through
@@ -310,20 +292,68 @@ def test_counter_elimination_gate(fmap):
 
 
 def test_counter_elimination_identity_is_drop_counters():
-    closed = counter_elimination(identity_map(ABLAB))
+    closed = counter_elimination({d: unit(d) for d in ABLAB})
     for t in counterful():
         assert closed(t) == unit(drop_counters(t))
 
 
-def test_counter_elimination_is_morphism():
-    phi = counter_elimination(GEN)
-    bf = cp_bullet_with_map(GEN)
-    pool = counterful()[:30]
-    for t, u in itertools.product(pool, repeat=2):
-        assert (ucp_bullet(t, u).map_linear(phi)
-                == bilinear_extend(bf, phi(t), phi(u)))
-        assert (phi(mul_merge(t, u))
-                == bilinear_extend(mul_merge_lc, phi(t), phi(u)))
+def pool_handle(alg, pool):
+    """alg with its basis cut down to the keys of pool."""
+    return replace(alg, basis=lambda n: [t for t in pool if nvertices(t) == n])
+
+
+def drop(t):
+    return unit(drop_counters(t))
+
+
+def forget(t):
+    return unit(forget_blocks(t))
+
+
+# name -> (src, dst, phi, maxdeg) for each edge of the quotient tower
+TOWER = {
+    "ucp-cp": lambda: (ucp_handle(ABLAB, 1), cp_handle(ABLAB), drop, 4),
+    "ucp-cp-cap2": lambda: (ucp_handle(ABLAB, 2), cp_handle(ABLAB), drop, 3),
+    "cp-hck": lambda: (cp_handle(ABLAB), hck_handle(ABLAB), forget, 5),
+    # the products only, on the 30 x 30 pairs of counterful trees (total
+    # degree up to 6, counters up to 2), which no degree sweep reaches
+    "ucp-cpf": lambda: (
+        pool_handle(ucp_handle(ABLAB), counterful()[:30]),
+        replace(cp_handle(ABLAB), prelie=cp_bullet_with_map(GEN),
+                coproduct=None, counit=None),
+        counter_elimination(GEN), 6),
+}
+ALL_LAWS = ["morphism-mul", "morphism-prelie", "morphism-coproduct",
+            "morphism-counit", "morphism-unit"]
+
+
+@pytest.mark.parametrize("edge", TOWER)
+def test_tower_edge_is_a_morphism(edge):
+    reports = check_morphism(*TOWER[edge]())
+    laws = ["morphism-mul", "morphism-prelie", "morphism-unit"] \
+        if edge == "ucp-cpf" else ALL_LAWS
+    assert [r.law for r in reports] == laws
+    assert all_pass(reports), report_lines(reports)
+
+
+def relabelled_forget(t):
+    """forget_blocks, corrupted: the root of every tree with at least two
+    vertices swaps the labels d and e."""
+    swap = {"d": "e", "e": "d"}
+    return unit(canonicalize(tuple(
+        (((k, swap[lab] if kids else lab), kids),)
+        for ((k, lab), kids), in forget_blocks(t))))
+
+
+def test_corrupted_forget_blocks_fails_with_a_witness():
+    reports = check_morphism(cp_handle(DELAB), hck_handle(DELAB),
+                             relabelled_forget, 3)
+    assert report_lines(reports) == [
+        "morphism-mul cp->hck 3 PASS",
+        "morphism-prelie cp->hck 3 FAIL x={[d]} y={[d]}",
+        "morphism-coproduct cp->hck 3 FAIL x={[d([d])]}",
+        "morphism-counit cp->hck 3 PASS",
+        "morphism-unit cp->hck 3 PASS"]
 
 
 def test_cp_bullet_with_map_unit_case():
