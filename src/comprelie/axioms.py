@@ -333,10 +333,13 @@ def check_bialgebra_compat(alg: AlgebraHandle, maxdeg: int,
 
 def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
             seed: int = 7, samples: int = 40) -> list[LawReport]:
-    reports = check_comprelie(alg, maxdeg, mode, seed, samples)
+    """The Com-PreLie laws, then the bialgebra laws when there is a
+    coproduct, in one sweep: the bialgebra laws reuse the products the
+    Com-PreLie laws memoised."""
+    laws = _COMPRELIE_LAWS
     if alg.coproduct is not None:
-        reports += check_bialgebra_compat(alg, maxdeg, mode, seed, samples)
-    return reports
+        laws += _BIALGEBRA_LAWS
+    return _sweep(alg, laws, maxdeg, mode, seed, samples)
 
 
 # --- deliberate corruptions: the self-test that the sweeps can fail ----------

@@ -4,13 +4,14 @@ One representation and one kernel.  A matrix is a list of sparse rows,
 dicts column -> coefficient with zeros absent, and ``rref`` is the only
 elimination loop: a forward pass to an echelon form, then one
 back-substitution.  The rank is the number of pivots of the forward pass
-alone; nullspace, solve and invert read their answers off the full
-reduced form.  The rows the package eliminates are mostly zero (kernel
-dimensions of coproduct-like maps, the grafting images behind omega), so
-a row costs what it holds, not the width of the slice.  Coefficients are
-ints or Fractions; a row becomes Fractions only when its pivot is not 1
-and must be divided by it, so integer rows with unit pivots, the common
-case of a kernel dimension's map, eliminate in int arithmetic.
+alone; nullspace, solve (any number of right-hand sides at once) and
+invert read their answers off the full reduced form.  The rows the
+package eliminates are mostly zero (kernel dimensions of coproduct-like
+maps, the grafting images behind omega), so a row costs what it holds,
+not the width of the slice.  Coefficients are ints or Fractions; a row
+becomes Fractions only when its pivot is not 1 and must be divided by
+it, so integer rows with unit pivots, the common case of a kernel
+dimension's map, eliminate in int arithmetic.
 
 Each row's pivot is its least column.  Columns therefore only need to be
 hashable and mutually comparable (slice positions, tree keys, words), the
@@ -25,7 +26,7 @@ kernel basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def rref(rows: list) -> dict:
@@ -103,16 +104,22 @@ def nullspace(rows: list, ncols: int) -> list[dict]:
     return basis
 
 
-def solve(rows: list, b: Sequence, ncols: int) -> Optional[dict]:
-    """One solution {column: value} of row_i · x = b_i over columns
-    0..ncols-1, free variables 0, or None if the system is inconsistent.
+def solve(rows: list, bs: Sequence[Sequence], ncols: int) -> list:
+    """For each right-hand side b in bs (b_i the value of row i), one
+    solution {column: value} of row_i · x = b_i over columns 0..ncols-1,
+    free variables 0, or None if that system is inconsistent.
 
-    A pivot in the appended column ncols is an exact certificate of
-    inconsistency, not a tolerance call."""
-    red = rref([{**row, ncols: bi} for row, bi in zip(rows, b)])
-    if ncols in red:
-        return None
-    return {pc: r[ncols] for pc, r in red.items() if ncols in r}
+    One elimination serves every right-hand side: b_j is appended as
+    column ncols + j.  The reduced rows whose pivot lies among the
+    appended columns span the combinations of b that vanish on the left,
+    so b_j is inconsistent exactly when one of them is nonzero in column
+    ncols + j, an exact certificate rather than a tolerance call."""
+    red = rref([{**row, **{ncols + j: b[i] for j, b in enumerate(bs)}}
+                for i, row in enumerate(rows)])
+    bad = {c for pc, r in red.items() if pc >= ncols for c in r}
+    return [None if ncols + j in bad else
+            {pc: r[ncols + j] for pc, r in red.items() if ncols + j in r}
+            for j in range(len(bs))]
 
 
 def invert(rows: list) -> list[dict]:

@@ -16,12 +16,58 @@ Multilinear maps are built from three primitives: ``tensor`` expands a
 list of LinCombs into one LinComb over tuples of their keys, and
 ``LinComb.map_linear`` and ``bilinear_extend`` apply a basis-level map to
 every key (or pair of keys) and sum the results.
+
+``map_linear``, ``bilinear_extend``, the constructor and the vector-space
+operators all sum through one accumulation kernel, ``_acc(out, coeff,
+other)``: out += coeff * other, one pass over other's terms with no
+per-term method call (``LinComb.add_term`` is for callers that add one
+term at a time).  It relies on the invariant every LinComb keeps: no zero
+coefficient and no ``None`` key is ever stored, and an operand is never
+mutated (every operator returns a fresh object).  So a key new to out
+takes the scaled term as it is, with no ``0 + c`` and no zero test (Q has
+no zero divisors); ``coeff == 1`` skips the multiply, so no ``1 *
+Fraction`` is ever formed; and a copy into an empty out is one
+``dict.update``, a copy of the operand, never the operand itself.  Raw
+(key, coefficient) pairs, which may hold zeros, ``None`` keys and
+repeats, are filtered once on their way into a LinComb.  ``tensor`` sums
+nothing: its product keys are distinct, so it writes them directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Hashable
+
+
+def _acc(out: dict, coeff, other) -> None:
+    """out += coeff * other, in place, dropping the sums that cancel.
+
+    other is a mapping or an iterable of (key, coefficient) pairs, with no
+    zero coefficient and no None key (repeated pairs add up); it is only
+    read, so it must not be out itself."""
+    if coeff == 1:
+        coeff = None
+    elif not coeff:
+        return
+    right = type(coeff) is int  # int * Fraction would take the slow path
+    if isinstance(other, dict):
+        if coeff is None and not out:
+            out.update(other)
+            return
+        other = other.items()
+    get = out.get
+    for k, c in other:
+        if coeff is not None:
+            c = c * coeff if right else coeff * c
+        old = get(k)
+        if old is None:
+            out[k] = c
+        else:
+            c = old + c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
 
 
 class LinComb(dict):
@@ -33,49 +79,53 @@ class LinComb(dict):
     used locally while accumulating.
     """
 
-    def __init__(self, data=()):
-        super().__init__()
-        if isinstance(data, dict):
-            data = data.items()
-        for k, c in data:
-            self.add_term(k, c)
+    def __init__(self, data=None):
+        if data is None:
+            return
+        if not isinstance(data, LinComb):
+            if isinstance(data, dict):
+                data = data.items()
+            data = ((k, c) for k, c in data if k is not None and c)
+        _acc(self, 1, data)
 
     def __getitem__(self, key):
         return self.get(key, 0)
 
     def add_term(self, key, coeff) -> None:
         """self += coeff * key, pruning zeros.  key=None is absorbed (drops)."""
-        if key is None or coeff == 0:
+        if key is None or not coeff:
             return
-        c = self.get(key, 0) + coeff
-        if c == 0:
-            self.pop(key, None)
+        old = self.get(key)
+        if old is None:
+            self[key] = coeff
         else:
-            self[key] = c
+            coeff = old + coeff
+            if coeff:
+                self[key] = coeff
+            else:
+                del self[key]
 
     def iadd_scaled(self, coeff, other: "LinComb") -> "LinComb":
-        if coeff != 0:
-            for k, c in other.items():
-                self.add_term(k, coeff * c)
+        _acc(self, coeff, other)
         return self
 
     def __add__(self, other):
         out = LinComb(self)
-        out.iadd_scaled(1, other)
+        _acc(out, 1, other)
         return out
 
     def __sub__(self, other):
         out = LinComb(self)
-        out.iadd_scaled(-1, other)
+        _acc(out, -1, other)
         return out
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, coeff) -> "LinComb":
-        if coeff == 0:
-            return LinComb()
-        return LinComb((k, coeff * c) for k, c in self.items())
+        out = LinComb()
+        _acc(out, coeff, self)
+        return out
 
     def __mul__(self, coeff):
         return self.scale(coeff)
@@ -87,16 +137,13 @@ class LinComb(dict):
 
     def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
         """Apply a key-to-key map (f may return None to drop a term)."""
-        out = LinComb()
-        for k, c in self.items():
-            out.add_term(f(k), c)
-        return out
+        return LinComb((f(k), c) for k, c in self.items())
 
     def map_linear(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
         """Apply a basis-to-LinComb map linearly."""
         out = LinComb()
         for k, c in self.items():
-            out.iadd_scaled(c, f(k))
+            _acc(out, c, f(k))
         return out
 
     def __repr__(self):
@@ -105,7 +152,10 @@ class LinComb(dict):
 
 def unit(key) -> LinComb:
     """The LinComb 1*key."""
-    return LinComb(((key, 1),))
+    out = LinComb()
+    if key is not None:
+        out[key] = 1
+    return out
 
 
 ZERO = LinComb()
@@ -117,7 +167,7 @@ def bilinear_extend(op_on_basis: Callable[[Hashable, Hashable], LinComb],
     out = LinComb()
     for ka, ca in a.items():
         for kb, cb in b.items():
-            out.iadd_scaled(ca * cb, op_on_basis(ka, kb))
+            _acc(out, ca * cb, op_on_basis(ka, kb))
     return out
 
 
@@ -130,13 +180,18 @@ def bilinear_extend(op_on_basis: Callable[[Hashable, Hashable], LinComb],
 
 def tensor(*factors: LinComb) -> LinComb:
     """factors_1 (x) ... (x) factors_n, keyed by n-tuples of factor keys;
-    tensor() is unit(()), and any zero factor makes the result zero."""
-    out = unit(())
+    tensor() is unit(()), and any zero factor makes the result zero.
+
+    The product keys are distinct and, as Q has no zero divisors, their
+    coefficients nonzero, so they are written directly."""
+    terms = {(): 1}
     for f in factors:
         if not f:
             return LinComb()
-        out = LinComb((ks + (k,), c * cf)
-                      for ks, c in out.items() for k, cf in f.items())
+        terms = {ks + (k,): (cf if c == 1 else c * cf)
+                 for ks, c in terms.items() for k, cf in f.items()}
+    out = LinComb()
+    out.update(terms)
     return out
 
 

@@ -22,7 +22,8 @@ Pipeline, for a degree-truncated algebra A (bound N):
 
 Everything is exact rational arithmetic, and every linear-algebra step is
 one call into ``linalg``'s sparse elimination on dict rows: the primitives
-are a nullspace and g a solve, over equations in slice positions
+are a nullspace and g one solve per degree, with every primitive of the
+degree as a right-hand side, over equations in slice positions
 (``_system``); omega⁻¹ is one inverse per degree, kept as a key -> word
 table and applied with ``mat_vec``; the iso checks rank the omega and F
 images as they are.  Only the printed ``matrix`` methods build dense rows.
@@ -152,21 +153,22 @@ def primitive_basis(tb: TruncatedBialgebra, n: int) -> list[LinComb]:
         raise ValueError(f"degree {n} beyond bound {tb.N}")
     if n not in tb._prim:
         keys = [] if n == 0 else tb.slices[n]
-        rows, _ = _system([tb.reduced_k(k) for k in keys], LinComb())
+        rows, _ = _system([tb.reduced_k(k) for k in keys], [])
         tb._prim[n] = [_over(keys, v) for v in nullspace(rows, len(keys))]
     return tb._prim[n]
 
 
-def _system(images: list, target: LinComb) -> tuple[list, list]:
-    """The equations of sum_j x_j images[j] = target: one row
-    {position j: coeff} per key that an image or the target touches, and
-    the target's coefficient there.  Columns are positions, not keys, so
-    the kernel basis follows the order of the images."""
-    eqs: dict = {k: {} for k in target}
+def _system(images: list, targets: list) -> tuple[list, list]:
+    """The equations of sum_j x_j images[j] = target, for each target: one
+    row {position j: coeff} per key that an image or a target touches,
+    and one right-hand side per target, its coefficients there.  Columns
+    are positions, not keys, so the kernel basis follows the order of the
+    images."""
+    eqs: dict = {k: {} for t in targets for k in t}
     for j, im in enumerate(images):
         for k, c in im.items():
             eqs.setdefault(k, {})[j] = c
-    return list(eqs.values()), [target[k] for k in eqs]
+    return list(eqs.values()), [[t[k] for k in eqs] for t in targets]
 
 
 def _over(keys: list, v: dict) -> LinComb:
@@ -232,9 +234,8 @@ class Omega:
                 self.letters.append(name)
                 self.letter_prim[name] = p
                 self.letter_deg[name] = n
-        self._g = {name: (g(self.letter_prim[name], self.letter_deg[name])
-                          if g else self._right_inverse(name))
-                   for name in self.letters}
+        self._g = ({name: g(self.letter_prim[name], self.letter_deg[name])
+                    for name in self.letters} if g else self._right_inverses())
         self._words: dict[int, list[Word]] = {}
         self._omega: dict[Word, LinComb] = {}
         self._inv: dict[int, dict] = {}
@@ -242,20 +243,27 @@ class Omega:
     def _f(self, x: LinComb) -> LinComb:
         return self.tb.prelie(x, unit(self.tb.alg.unit))
 
-    def _right_inverse(self, letter: str) -> LinComb:
-        """g with f(g) equal to the letter's primitive: a solution of f's
-        linear system on the slice, free coordinates pinned to zero.
-        Where f is n·id on the degree-n slice (the tree algebras), that is
-        the primitive over n."""
-        p = self.letter_prim[letter]
-        n = self.letter_deg[letter]
-        keys = self.tb.slices[n]
-        rows, b = _system([self._f(unit(k)) for k in keys], p)
-        sol = solve(rows, b, len(keys))
-        if sol is None:
-            raise ValueError(
-                f"f is not surjective onto primitives in degree {n}")
-        return _over(keys, sol)
+    def _right_inverses(self) -> dict[str, LinComb]:
+        """g for every letter: f(g) equal to the letter's primitive, a
+        solution of f's linear system on the slice with the free
+        coordinates pinned to zero.  One elimination per degree serves
+        every primitive of that degree, each as a right-hand side.  Where
+        f is n·id on the degree-n slice (the tree algebras), g is the
+        primitive over n."""
+        out = {}
+        for n in range(1, self.tb.N + 1):
+            names = [x for x in self.letters if self.letter_deg[x] == n]
+            if not names:
+                continue
+            keys = self.tb.slices[n]
+            rows, bs = _system([self._f(unit(k)) for k in keys],
+                               [self.letter_prim[x] for x in names])
+            for name, sol in zip(names, solve(rows, bs, len(keys))):
+                if sol is None:
+                    raise ValueError(
+                        f"f is not surjective onto primitives in degree {n}")
+                out[name] = _over(keys, sol)
+        return out
 
     def words(self, n: int) -> list[Word]:
         """All letter words of total degree n, in letter order."""
@@ -464,6 +472,6 @@ def cofree_obstruction(labels=("d", "e"),
     tb = TruncatedBialgebra(alg, 2)
     target = (parse("{[%s]}" % labels[0]), parse("{[%s]}" % labels[-1]))
     keys = tb.slices[2]
-    rows, b = _system([tb.reduced_k(k) for k in keys], unit(target))
-    sol = solve(rows, b, len(keys))
+    rows, bs = _system([tb.reduced_k(k) for k in keys], [unit(target)])
+    sol, = solve(rows, bs, len(keys))
     return None if sol is None else _over(keys, sol)

@@ -14,6 +14,10 @@ round; the tests compare the two.
   and the two products built on it;
 * ``dense_rref``/``dense_nullspace``/``dense_solve``, Gauss-Jordan on
   lists of Fractions, gate the sparse kernel of ``linalg``;
+* ``add_term_reference``, ``lincomb_reference``,
+  ``iadd_scaled_reference``, ``map_linear_reference``,
+  ``bilinear_extend_reference`` and ``tensor_reference``, which add one
+  term at a time, gate the accumulation kernel of ``lincomb``;
 * ``multisets_brute_force`` gates ``ptree._multisets``;
 * ``parse_reference``, the recursive-descent parser, gates ``ptree.parse``;
 * ``ideals_brute_force``, the filter of all 2^n vertex sets, gates
@@ -51,6 +55,65 @@ from comprelie.shuffle import (
 from comprelie.ucp import (
     _power_map, cm_x, coproduct_hck, mul_disjoint_lc, mul_merge_lc,
 )
+
+
+# ---------------------------------------------------------------------------
+# LinComb arithmetic one term at a time: every sum goes through
+# add_term_reference, which reads the old coefficient (0 when absent), adds
+# and stores or drops the result.
+# ---------------------------------------------------------------------------
+
+def add_term_reference(out: LinComb, key, coeff) -> None:
+    """out += coeff * key, pruning zeros; key=None drops."""
+    if key is None or coeff == 0:
+        return
+    c = out.get(key, 0) + coeff
+    if c == 0:
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
+def lincomb_reference(pairs) -> LinComb:
+    """The LinComb of (key, coefficient) pairs, repeats added up."""
+    out = LinComb()
+    for k, c in pairs:
+        add_term_reference(out, k, c)
+    return out
+
+
+def iadd_scaled_reference(out: LinComb, coeff, other: LinComb) -> LinComb:
+    if coeff != 0:
+        for k, c in other.items():
+            add_term_reference(out, k, coeff * c)
+    return out
+
+
+def map_linear_reference(x: LinComb, f: Callable) -> LinComb:
+    out = LinComb()
+    for k, c in x.items():
+        iadd_scaled_reference(out, c, f(k))
+    return out
+
+
+def bilinear_extend_reference(op: Callable, a: LinComb,
+                              b: LinComb) -> LinComb:
+    out = LinComb()
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            iadd_scaled_reference(out, ca * cb, op(ka, kb))
+    return out
+
+
+def tensor_reference(*factors: LinComb) -> LinComb:
+    out = lincomb_reference([((), 1)])
+    for f in factors:
+        if not f:
+            return LinComb()
+        out = lincomb_reference((ks + (k,), c * cf)
+                                for ks, c in out.items()
+                                for k, cf in f.items())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,10 @@ every deliberate corruption is caught, and the tensor construction behaves."""
 
 import itertools
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from comprelie.axioms import (
-    AlgebraHandle,
     all_pass,
     applicable_laws,
     basis_tuples,
@@ -27,7 +25,6 @@ from comprelie.axioms import (
 from comprelie.handles import (
     HANDLE_NAMES,
     cp_handle,
-    degneg1_handle,
     dual_cp_handle,
     dual_ucp_handle,
     get_handle,

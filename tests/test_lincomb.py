@@ -9,7 +9,11 @@ from comprelie.lincomb import (
 )
 from comprelie import linalg
 
-from oracles import dense_nullspace, dense_rref, dense_solve, tensor_swap
+from oracles import (
+    bilinear_extend_reference, dense_nullspace, dense_rref, dense_solve,
+    iadd_scaled_reference, lincomb_reference, map_linear_reference,
+    tensor_reference, tensor_swap,
+)
 
 
 def test_zero_pruning():
@@ -106,6 +110,90 @@ def test_tensor_associates_and_applies(a, b, c):
         tensor(a.map_linear(f), b.map_linear(g))
 
 
+# --- the accumulation kernel against the one-term-at-a-time reference -----
+
+# Few keys, so that terms collide; opposite and equal values in int and
+# Fraction form (Fraction(2, 2) is a Fraction equal to 1, Fraction(-3, 3)
+# one equal to -1), so that sums cancel exactly and the coeff == 1 path
+# meets Fractions.
+_KEYS = st.sampled_from(["a", "b", "c", ("a", "b")])
+_C = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2),
+                      Fraction(2, 2), Fraction(-3, 3), Fraction(3, 4),
+                      Fraction(-3, 2)])
+_RAW = st.lists(st.tuples(st.one_of(_KEYS, st.none()),
+                          st.one_of(_C, st.just(0), st.just(Fraction(0)))),
+                max_size=8)
+_LC = _RAW.map(lincomb_reference)
+_SCALARS = st.one_of(_C, st.just(0))
+
+
+def _valid(x):
+    """x is a LinComb that keeps the invariant."""
+    assert type(x) is LinComb
+    assert None not in x
+    assert all(c != 0 for c in x.values())
+    return x
+
+
+@given(_RAW)
+def test_kernel_builds_like_the_reference(pairs):
+    want = lincomb_reference(pairs)
+    assert _valid(LinComb(pairs)) == want
+    assert _valid(LinComb(iter(pairs))) == want
+    assert _valid(LinComb(dict(pairs))) == lincomb_reference(
+        dict(pairs).items())
+    assert _valid(LinComb(want)) == want
+    assert LinComb(want) is not want
+
+
+@given(_LC, _SCALARS, _LC)
+def test_kernel_sums_like_the_reference(x, coeff, y):
+    x0, y0 = dict(x), dict(y)
+    ref = iadd_scaled_reference(LinComb(x), coeff, y)
+    assert _valid(LinComb(x).iadd_scaled(coeff, y)) == ref
+    assert _valid(LinComb().iadd_scaled(coeff, y)) == \
+        iadd_scaled_reference(LinComb(), coeff, y)
+    assert _valid(x + y) == iadd_scaled_reference(LinComb(x), 1, y)
+    assert _valid(x - y) == iadd_scaled_reference(LinComb(x), -1, y)
+    assert _valid(y.scale(coeff)) == iadd_scaled_reference(LinComb(), coeff, y)
+    assert _valid(-y) == iadd_scaled_reference(LinComb(), -1, y)
+    assert dict(x) == x0 and dict(y) == y0
+
+
+@given(_LC, _KEYS)
+def test_kernel_never_aliases_an_operand(y, key):
+    """The copies the update path makes are copies: mutating a result
+    leaves the operands as they were."""
+    y0 = dict(y)
+    for out in (LinComb().iadd_scaled(1, y), LinComb() + y, y + LinComb(),
+                LinComb(y), y.map_linear(lambda k: y), tensor(y),
+                bilinear_extend(lambda a, b: y, unit("a"), unit("b"))):
+        out.add_term(key, 1)
+        out.iadd_scaled(-1, LinComb(out))
+        assert dict(y) == y0
+
+
+_TABLES = st.fixed_dictionaries({k: _LC for k in ["a", "b", "c", ("a", "b")]})
+
+
+@given(_LC, _TABLES, _TABLES)
+def test_kernel_maps_like_the_reference(x, f, g):
+    f0 = {k: dict(v) for k, v in f.items()}
+    assert _valid(x.map_linear(f.get)) == map_linear_reference(x, f.get)
+
+    def op(a, b):
+        return f[a] + g[b].scale(Fraction(1, 2))
+
+    assert _valid(bilinear_extend(op, x, x)) == \
+        bilinear_extend_reference(op, x, x)
+    assert {k: dict(v) for k, v in f.items()} == f0
+
+
+@given(st.lists(_LC, max_size=3))
+def test_tensor_matches_the_reference(factors):
+    assert _valid(tensor(*factors)) == tensor_reference(*factors)
+
+
 # --- linalg ---------------------------------------------------------------
 
 def test_sparse_rank():
@@ -137,10 +225,20 @@ def test_nullspace():
 
 def test_solve():
     m = [[2, 0], [0, 3]]
-    assert linalg.solve(_rows(m), [4, 9], 2) == {0: Fraction(2), 1: Fraction(3)}
-    assert linalg.solve(_rows([[1, 1], [1, 1]]), [0, 1], 2) is None
-    x = linalg.solve(_rows([[1, 1]]), [5], 2)
+    assert linalg.solve(_rows(m), [[4, 9]], 2) == [{0: Fraction(2),
+                                                    1: Fraction(3)}]
+    assert linalg.solve(_rows([[1, 1], [1, 1]]), [[0, 1]], 2) == [None]
+    [x] = linalg.solve(_rows([[1, 1]]), [[5]], 2)
     assert x is not None and sum(x.values()) == 5
+    assert linalg.solve(_rows(m), [], 2) == []
+
+
+def test_solve_keeps_right_hand_sides_apart():
+    # the zero row makes the first two sides inconsistent and not the
+    # third; the pivot the first side leaves must not decide the others
+    rows = _rows([[1, 0], [0, 0], [0, 1]])
+    assert linalg.solve(rows, [[0, 1, 0], [5, 1, 0], [2, 0, 3]], 2) == [
+        None, None, {0: 2, 1: 3}]
 
 
 def test_invert():
@@ -198,10 +296,11 @@ def test_sparse_kernel_matches_dense_reference(m, data):
     assert linalg.rank(rows) == linalg.sparse_rank(iter(rows)) == len(piv)
     assert linalg.nullspace(rows, ncols) == [_nonzero(v)
                                              for v in dense_nullspace(m)]
-    b = data.draw(st.lists(_Q, min_size=len(m), max_size=len(m)))
-    x = dense_solve(m, b)
-    assert linalg.solve(rows, b, ncols) == (None if x is None
-                                            else _nonzero(x))
+    bs = data.draw(st.lists(st.lists(_Q, min_size=len(m), max_size=len(m)),
+                            max_size=3))
+    xs = [dense_solve(m, b) for b in bs]
+    assert linalg.solve(rows, bs, ncols) == [None if x is None
+                                             else _nonzero(x) for x in xs]
     if len(m) == ncols:
         if len(piv) == ncols:
             assert _product(linalg.invert(rows), m) == \

@@ -5,8 +5,8 @@ A function, class or assigned name defined at the top level of a module
 under `src/comprelie` must appear as a code token (not in a comment or a
 string) on some line of `src/` or `tests/` outside its own definition and
 outside every import statement: a name that is only imported is not used.
-A name a module under `src/comprelie` imports must occur as a name in
-that module's code.
+A name a module under `src/comprelie` or `tests` imports must occur as a
+name in that module's code.
 """
 
 import ast
@@ -68,9 +68,11 @@ def unreferenced(root: Path) -> list[str]:
 
 
 def unused_imports(root: Path) -> list[str]:
-    """module.name for every name a module imports but never reads."""
+    """module.name for every name a module of the package or of the tests
+    imports but never reads."""
     dead = []
-    for path in sorted((root / "src" / "comprelie").glob("*.py")):
+    for path in sorted((root / "src" / "comprelie").glob("*.py")) + sorted(
+            (root / "tests").glob("*.py")):
         tree = ast.parse(path.read_text())
         imported = []
         for node in ast.walk(tree):
@@ -131,3 +133,15 @@ def test_the_guard_sees_an_unused_import(tmp_path):
         "def f(text: str):\n"
         "    return os.path.join(serialize(read(text)), EMPTY)\n")
     assert unused_imports(tmp_path) == ["m.regex"]
+
+
+def test_the_guard_sees_an_unused_import_in_the_tests(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from fractions import Fraction\n"
+        "from hypothesis import given, strategies as st\n\n"
+        "from comprelie.lincomb import LinComb, unit\n\n\n"
+        "@given(st.integers())\n"
+        "def test_unit(n):\n"
+        "    assert unit(n) == {n: 1}\n")
+    assert unused_imports(tmp_path) == ["test_m.Fraction", "test_m.LinComb"]

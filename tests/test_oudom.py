@@ -2,7 +2,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from comprelie.lincomb import LinComb, unit, bilinear_extend
+from comprelie.lincomb import unit
 from comprelie.ptree import (
     EMPTY, parse, serialize, build_root, canonicalize, enum_partitioned,
     enum_one_rooted, mul_merge, nvertices,

@@ -12,7 +12,7 @@ from comprelie.handles import (
     cp_handle, dual_cp_handle, hck_handle, ucp_handle,
 )
 from comprelie.lincomb import LinComb, unit
-from comprelie.ptree import parse, serialize
+from comprelie.ptree import parse
 from comprelie.rigidity import (
     HopfIso,
     Omega,

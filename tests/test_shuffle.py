@@ -2,9 +2,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from comprelie.lincomb import LinComb, bilinear_extend, unit, fmt_lincomb
+from comprelie.lincomb import LinComb, bilinear_extend, unit
 from comprelie.shuffle import (
-    EPS, Word, fmt_word, parse_word, shuffle, deconcat,
+    EPS, fmt_word, parse_word, shuffle, deconcat,
     Varpi, varpi_from_endo, bullet_tvf,
     varpi_deg_minus1, bullet_deg_minus1,
     pair_identities_failures, hyperboloid_products,
