@@ -56,9 +56,10 @@ class AlgebraHandle:
     ``basis(n)`` lists the basis keys of degree exactly n; degree 0 holds
     the algebra unit when there is one.  ``mul`` and ``prelie`` evaluate
     the products on a pair of keys; ``coproduct`` (if present) sends a key
-    to a LinComb over key pairs, ``counit`` to a Fraction.  ``key_str``
-    renders a key for report witnesses.  A handle with ``mul=None`` is a
-    bare preLie algebra and only the preLie identity is swept.
+    to a LinComb over key pairs, ``counit`` to a scalar (an int or a
+    Fraction).  ``key_str`` renders a key for report witnesses.  A handle
+    with ``mul=None`` is a bare preLie algebra and only the preLie
+    identity is swept.
     """
 
     name: str
@@ -141,9 +142,9 @@ class _Ops:
     def cop(self, x: LinComb) -> LinComb:
         return x.map_linear(self.cop_k)
 
-    def counit(self, x: LinComb) -> Fraction:
+    def counit(self, x: LinComb) -> int | Fraction:
         eps = self.alg.counit
-        return sum((c * eps(k) for k, c in x.items()), Fraction(0))
+        return sum(c * eps(k) for k, c in x.items())
 
 
 # --- law defects (zero iff the law holds on the given arguments) -------------

@@ -3,15 +3,17 @@
 One representation and one kernel.  A matrix is a list of sparse rows,
 dicts column -> coefficient with zeros absent, and ``rref`` is the only
 elimination loop: a forward pass to an echelon form, then one
-back-substitution.  The rank is the number of pivots of the forward pass
-alone; nullspace, solve (any number of right-hand sides at once) and
-invert read their answers off the full reduced form.  The rows the
-package eliminates are mostly zero (kernel dimensions of coproduct-like
-maps, the grafting images behind omega), so a row costs what it holds,
-not the width of the slice.  Coefficients are ints or Fractions; a row
-becomes Fractions only when its pivot is not 1 and must be divided by
-it, so integer rows with unit pivots, the common case of a kernel
-dimension's map, eliminate in int arithmetic.
+back-substitution.  The exact rank is the number of pivots of the forward
+pass alone; nullspace, solve (any number of right-hand sides at once) and
+invert read their answers off the full reduced form.  ``invert`` appends
+identity entries only for the columns of the inverse it is asked for, so
+k columns of an N x N inverse cost one elimination carrying k extra
+columns, not N.  The rows the package eliminates are mostly zero (kernel
+dimensions of coproduct-like maps, the grafting images behind omega), so a
+row costs what it holds, not the width of the slice.  Coefficients are
+ints or Fractions; a row becomes Fractions only when its pivot is not 1
+and must be divided by it, so integer rows with unit pivots, the common
+case of a kernel dimension's map, eliminate in int arithmetic.
 
 Each row's pivot is its least column.  Columns therefore only need to be
 hashable and mutually comparable (slice positions, tree keys, words), the
@@ -21,12 +23,19 @@ only grows until it becomes a new pivot.  The reduced echelon form is
 unique, so the result does not depend on the order of the rows; ``nullspace``
 and ``solve`` number their columns 0..ncols-1, which fixes the order of the
 kernel basis.
+
+``rank`` first ranks the rows modulo the prime P = 2^61 - 1, a
+certificate rather than an answer: the rank mod P never exceeds the rank
+over Q, so when it reaches min(rows, columns), the largest rank possible,
+that is the rank.  Otherwise (a deficient rank, or a coefficient whose
+denominator P divides) it falls back to the exact forward pass, so a rank
+that is reported below full is always the exact one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 def rref(rows: list) -> dict:
@@ -75,10 +84,48 @@ def _axpy(row: dict, factor, other: dict) -> None:
             row[k] = v
 
 
+P = 2 ** 61 - 1
+
+
 def rank(rows: list) -> int:
-    """Number of pivots of the forward pass; the rank needs no
-    back-substitution."""
+    """Rank of the rows: certified full mod P, else the number of pivots
+    of the exact forward pass (the rank needs no back-substitution)."""
+    full = min(len(rows), len({c for row in rows for c in row}))
+    if _rank_mod_p(rows) == full:
+        return full
     return len(_echelon(rows))
+
+
+def _rank_mod_p(rows: list):
+    """Rank of the rows over Z/P, or None if a denominator vanishes mod P.
+    The forward pass of ``_echelon``, on residues."""
+    pivots: dict = {}
+    for row in rows:
+        res = {}
+        for k, c in row.items():
+            if type(c) is not int:
+                den = c.denominator % P
+                if not den:
+                    return None
+                c = c.numerator * pow(den, -1, P)
+            c %= P
+            if c:
+                res[k] = c
+        while res:
+            col = min(res)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(res[col], -1, P)
+                pivots[col] = {k: c * inv % P for k, c in res.items()}
+                break
+            f = res[col]
+            for k, c in piv.items():
+                v = (res.get(k, 0) - f * c) % P
+                if v:
+                    res[k] = v
+                else:
+                    res.pop(k, None)
+    return len(pivots)
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
@@ -122,12 +169,19 @@ def solve(rows: list, bs: Sequence[Sequence], ncols: int) -> list:
             for j in range(len(bs))]
 
 
-def invert(rows: list) -> list[dict]:
+def invert(rows: list, cols: Optional[Iterable[int]] = None) -> list[dict]:
     """Rows of the inverse of a square invertible matrix over columns
-    0..n-1 (asserts invertibility)."""
+    0..n-1, restricted to the columns `cols` of the inverse (all of them
+    by default); asserts invertibility.
+
+    Row i of the input gets the identity entry n + i only when i is in
+    cols: reducing [M | E] to [I | M⁻¹E] leaves exactly those columns of
+    M⁻¹ on the right."""
     n = len(rows)
     assert all(0 <= c < n for row in rows for c in row), "not square"
-    red = rref([{**row, n + i: 1} for i, row in enumerate(rows)])
+    want = range(n) if cols is None else set(cols)
+    red = rref([{**row, n + i: 1} if i in want else row
+                for i, row in enumerate(rows)])
     assert sorted(red) == list(range(n)), "matrix is singular"
     return [{c - n: x for c, x in red[j].items() if c >= n} for j in range(n)]
 

@@ -20,15 +20,29 @@ Pipeline, for a degree-truncated algebra A (bound N):
    the commutative product to the shuffle product, slice by slice, and is
    invertible; again checks, not assumptions.
 
+Both sums are computed by recursion on the first leg of the reduced
+coproduct, reduced-Δ(k) = Σ a ⊗ b.  Expanding the last leg each time
+defines the iterated reduced coproduct, so reduced-Δ^{m−1}(k) =
+Σ a ⊗ reduced-Δ^{m−2}(b) holds by construction, with no coassociativity
+assumed.  Hence the m-th chain mul^{m−1} ∘ reduced-Δ^{m−1}(k) is
+Σ a · (the (m−1)-th chain of b), which regroups the products and so relies
+on the associativity of the product; and F(k) = varpi(k) +
+Σ varpi(a) ⊗ F(b) over words, the same sum term for term.  Each key's
+chains and F image are computed once.
+
 Everything is exact rational arithmetic, and every linear-algebra step is
 one call into ``linalg``'s sparse elimination on dict rows: the primitives
 are a nullspace and g one solve per degree, with every primitive of the
 degree as a right-hand side, over equations in slice positions
-(``_system``); omega⁻¹ is one inverse per degree, kept as a key -> word
-table and applied with ``mat_vec``; the iso checks rank the omega and F
-images as they are.  Only the printed ``matrix`` methods build dense rows.
-The checks return LawReport values through ``axioms.first_witness`` (same shape as the axiom sweeps),
-so a failed property names its witness.
+(``_system``); omega⁻¹ is one inverse per degree and set of words, kept as
+a key -> word table and applied with ``mat_vec``, and varpi asks only for
+the columns of its letters, so one elimination per degree carries one
+extra column per letter instead of one per word; the iso checks rank the
+omega and F images as they are, where a full rank mod a prime is a
+certificate and a deficient one is recomputed exactly.  Only the printed
+``matrix`` methods build dense rows.  The checks return LawReport values
+through ``axioms.first_witness`` (same shape as the axiom sweeps), so a
+failed property names its witness.
 
 The last section probes the converse: on the counter algebra with two
 distinct labels, no element has reduced coproduct equal to the single
@@ -43,16 +57,16 @@ from typing import Callable, Optional
 
 from .axioms import AlgebraHandle, LawReport, basis_witnesses, first_witness
 from .linalg import invert, mat_vec, nullspace, rank, solve
-from .lincomb import LinComb, bilinear_extend, tensor, tensor_apply2, unit
+from .lincomb import LinComb, bilinear_extend, tensor_apply2, unit
 from .shuffle import Word, deconcat, fmt_word, shuffle
 
 
 class TruncatedBialgebra:
     """A connected graded bialgebra handle cut at degree N.
 
-    Caches the slice bases and key-level product, coproduct, reduced
-    coproduct, and iterated-reduced-coproduct tables; everything else in
-    this module works through one of these."""
+    Caches the slice bases, the key-level product and coproduct tables,
+    and the chains behind psi; everything else in this module works
+    through one of these."""
 
     def __init__(self, alg: AlgebraHandle, N: int):
         for piece in ("mul", "coproduct", "counit"):
@@ -67,7 +81,7 @@ class TruncatedBialgebra:
         self._mul: dict = {}
         self._prelie: dict = {}
         self._cop: dict = {}
-        self._iter: dict = {}
+        self._chains: dict = {}
         self._psi: dict = {}
         self._prim: dict = {}
         self._index: dict = {}
@@ -92,9 +106,6 @@ class TruncatedBialgebra:
             out = self._cop[k] = self.alg.coproduct(k)
         return out
 
-    def mul(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear_extend(self.mul_k, x, y)
-
     def prelie(self, x: LinComb, y: LinComb) -> LinComb:
         return bilinear_extend(self.prelie_k, x, y)
 
@@ -111,17 +122,6 @@ class TruncatedBialgebra:
     def reduced(self, x: LinComb) -> LinComb:
         return x.map_linear(self.reduced_k)
 
-    def iter_reduced(self, k, m: int) -> LinComb:
-        """(m−1)-fold iterated reduced coproduct of a key, over m-tuples."""
-        if m == 1:
-            return LinComb() if k == self.alg.unit else unit((k,))
-        key = (k, m)
-        out = self._iter.get(key)
-        if out is None:
-            out = self._iter[key] = self.iter_reduced(k, m - 1).map_linear(
-                lambda t: self.reduced_k(t[-1]).map_keys(lambda p: t[:-1] + p))
-        return out
-
     # -- coordinates ---------------------------------------------------------
 
     def index(self, n: int) -> dict:
@@ -132,17 +132,27 @@ class TruncatedBialgebra:
                                     enumerate(self.slices[n])}
         return idx
 
+    def chains(self, k) -> list[LinComb]:
+        """mul^{m−1} ∘ reduced-Δ^{m−1} of a key for m = 1..deg k: k itself,
+        then, over reduced-Δ(k) = Σ a ⊗ b, Σ a · (the (m−1)-th chain of
+        b)."""
+        out = self._chains.get(k)
+        if out is None:
+            n = self.deg[k]
+            out = [unit(k)] + [LinComb() for _ in range(1, n)] if n else []
+            for (a, b), c in self.reduced_k(k).items():
+                for m, chain in enumerate(self.chains(b), start=1):
+                    out[m].iadd_scaled(c, chain.map_linear(
+                        lambda j: self.mul_k(a, j)))
+            self._chains[k] = out
+        return out
+
     def psi_k(self, k) -> LinComb:
         out = self._psi.get(k)
         if out is None:
             out = LinComb()
-            for m in range(1, self.deg[k] + 1):
-                sign = Fraction((-1) ** (m + 1), m)
-                for t, c in self.iter_reduced(k, m).items():
-                    term = unit(t[0])
-                    for leg in t[1:]:
-                        term = self.mul(term, unit(leg))
-                    out.iadd_scaled(sign * c, term)
+            for m, chain in enumerate(self.chains(k), start=1):
+                out.iadd_scaled(Fraction((-1) ** (m + 1), m), chain)
             self._psi[k] = out
         return out
 
@@ -238,7 +248,7 @@ class Omega:
                     for name in self.letters} if g else self._right_inverses())
         self._words: dict[int, list[Word]] = {}
         self._omega: dict[Word, LinComb] = {}
-        self._inv: dict[int, dict] = {}
+        self._inv: dict[tuple, dict] = {}
 
     def _f(self, x: LinComb) -> LinComb:
         return self.tb.prelie(x, unit(self.tb.alg.unit))
@@ -305,16 +315,30 @@ class Omega:
         idx = self.tb.index(n)
         return [_dense(self.apply_word(w), idx) for w in self.words(n)]
 
-    def inverse(self, y: LinComb, n: int) -> LinComb:
-        """Word expansion of a homogeneous degree-n element."""
-        table = self._inv.get(n)
+    def inverse(self, y: LinComb, n: int,
+                words: Optional[tuple] = None) -> LinComb:
+        """Word expansion of a homogeneous degree-n element, or only its
+        part over `words` (a tuple of degree-n words) when given: just
+        those columns of the inverse are solved for."""
+        table = self._inv.get((n, words))
         if table is None:
-            idx, words = self.tb.index(n), self.words(n)
+            # The slice in reverse order: the pivots are least columns, so
+            # on cp they start from the trees with the most roots, which
+            # sort last.  The inverse is the same, and the elimination fills
+            # in far less (letter columns of cp's degree-7 inverse: 28 s in
+            # slice order, 8 s reversed; hck's degree 7: 0.2 s either way).
+            keys = self.tb.slices[n][::-1]
+            idx = {k: i for i, k in enumerate(keys)}
+            every = self.words(n)
+            cols = None
+            if words is not None:
+                pos = {w: i for i, w in enumerate(every)}
+                cols = [pos[w] for w in words]
             inv = invert([{idx[k]: c for k, c in self.apply_word(w).items()}
-                          for w in words])
-            table = self._inv[n] = {
-                k: {words[i]: c for i, c in row.items()}
-                for k, row in zip(self.tb.slices[n], inv)}
+                          for w in every], cols)
+            table = self._inv[(n, words)] = {
+                k: {every[i]: c for i, c in row.items()}
+                for k, row in zip(keys, inv)}
         return LinComb(mat_vec(table, y))
 
     # -- checks --------------------------------------------------------------
@@ -353,15 +377,22 @@ class HopfIso:
         self.omega = omega if omega is not None else Omega(tb)
         self._varpi: dict = {}
         self._F: dict = {}
+        self._F_words: dict = {}
 
     def varpi_k(self, k) -> LinComb:
-        """LinComb over letters."""
+        """LinComb over letters: omega⁻¹ solved for the letter columns of
+        k's degree only."""
         out = self._varpi.get(k)
         if out is None:
             y = self.tb.psi_k(k)  # zero on the unit
-            out = self._varpi[k] = (
-                _length1(self.omega.inverse(y, self.tb.deg[k])) if y
-                else LinComb())
+            if y:
+                n, om = self.tb.deg[k], self.omega
+                letters = tuple((x,) for x in om.letters
+                                if om.letter_deg[x] == n)
+                out = _length1(om.inverse(y, n, letters))
+            else:
+                out = LinComb()
+            self._varpi[k] = out
         return out
 
     def varpi(self, x: LinComb) -> LinComb:
@@ -371,14 +402,26 @@ class HopfIso:
         """LinComb over letter words."""
         out = self._F.get(k)
         if out is None:
-            if k == self.tb.alg.unit:
-                out = unit(())
-            else:
-                out = LinComb()
-                for m in range(1, self.tb.deg[k] + 1):
-                    for t, c in self.tb.iter_reduced(k, m).items():
-                        out.iadd_scaled(c, tensor(*map(self.varpi_k, t)))
-            self._F[k] = out
+            out = self._F[k] = (unit(()) if k == self.tb.alg.unit
+                                else self._F_rec(k))
+        return out
+
+    def _F_rec(self, k) -> LinComb:
+        """F of a key of positive degree: varpi(k) + Σ varpi(a) ⊗ F(b)
+        over reduced-Δ(k) = Σ a ⊗ b, letters prefixed to words.  Its memo
+        is apart from F_k's, so an entry set in F_k's table changes F_k
+        of that key alone."""
+        out = self._F_words.get(k)
+        if out is None:
+            out = self.varpi_k(k).map_keys(lambda x: (x,))
+            for (a, b), c in self.tb.reduced_k(k).items():
+                va = self.varpi_k(a)
+                if va:
+                    fb = self._F_rec(b)
+                    for x, cx in va.items():
+                        out.iadd_scaled(c * cx, fb.map_keys(
+                            lambda w, x=x: (x,) + w))
+            self._F_words[k] = out
         return out
 
     def F(self, x: LinComb) -> LinComb:

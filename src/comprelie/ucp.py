@@ -30,7 +30,7 @@ grafting of single leaves, with their cogenerator-level reduced coproduct.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from .lincomb import LinComb, tensor, unit
@@ -68,7 +68,7 @@ def ucp_bullet(t: PForest, u: PForest) -> LinComb:
 def cp_bullet(t: PForest, u: PForest) -> LinComb:
     """Counter-free grafting: t • ∅ = (number of vertices) t."""
     if u == EMPTY:
-        return LinComb(((t, Fraction(nvertices(t))),))
+        return LinComb(((t, nvertices(t)),))
     return LinComb((s, 1) for s in grafts(t, u))
 
 
@@ -88,7 +88,7 @@ def hck_bullet(f: PForest, g: PForest) -> LinComb:
     """Grafting of plain forests: every root of g becomes a new child of one
     vertex of f (summed over vertices); f • ∅ = (number of vertices) f."""
     if g == EMPTY:
-        return LinComb(((f, Fraction(nvertices(f))),))
+        return LinComb(((f, nvertices(f)),))
     return LinComb((forget_blocks(s), 1) for s in grafts(f, g))
 
 
@@ -132,8 +132,8 @@ def coproduct_hck(f: PForest) -> LinComb:
     return _coproduct(f, bump=False, plain=True)
 
 
-def counit(forest: PForest) -> Fraction:
-    return Fraction(1 if forest == EMPTY else 0)
+def counit(forest: PForest) -> int:
+    return int(forest == EMPTY)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +160,18 @@ def _power_map(fmap: Mapping[str, Mapping]) -> Callable[[int, str], LinComb]:
 def counter_elimination(fmap: Mapping[str, Mapping]
                         ) -> Callable[[PForest], LinComb]:
     """The algebra map UCP -> counter-free quotient for a decoration map f:
-    per vertex, (counter k, label d) becomes f^k(d) with counter zero."""
+    per vertex, (counter k, label d) becomes f^k(d) with counter zero.
+
+    A counter-free subtree maps to itself, one term, so only the vertices
+    on the paths to the counters are expanded; each node's expansion is
+    computed once."""
     fpow = _power_map(fmap)
 
+    @lru_cache(maxsize=None)
     def expand_node(nd) -> LinComb:
         (k, d), blocks = nd
+        if not k and not counter_total(blocks):
+            return unit(nd)
         return tensor(expand_blocks(blocks), fpow(k, d)).map_keys(
             lambda p: ((0, p[1]), p[0]))
 

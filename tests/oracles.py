@@ -18,6 +18,10 @@ round; the tests compare the two.
   ``iadd_scaled_reference``, ``map_linear_reference``,
   ``bilinear_extend_reference`` and ``tensor_reference``, which add one
   term at a time, gate the accumulation kernel of ``lincomb``;
+* ``iter_reduced``, the iterated reduced coproduct over m-tuples, and
+  ``psi_reference``, ``varpi_reference`` and ``F_reference``, which sum
+  over its tuples (varpi through the whole inverse of omega), gate the
+  first-leg recursions and the letter columns of ``rigidity``;
 * ``multisets_brute_force`` gates ``ptree._multisets``;
 * ``parse_reference``, the recursive-descent parser, gates ``ptree.parse``;
 * ``ideals_brute_force``, the filter of all 2^n vertex sets, gates
@@ -675,6 +679,57 @@ def bullet_varpi(varpi: Varpi, u: Word, v: Word) -> LinComb:
             for x, cx in mid.items():
                 for w, cw in sh.items():
                     out.add_term(u1 + (x,) + w, cx * cw)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The rigidity maps, summed over the m-tuples of the iterated reduced
+# coproduct.  tb is a rigidity.TruncatedBialgebra, iso a rigidity.HopfIso.
+# ---------------------------------------------------------------------------
+
+def iter_reduced(tb, k, m: int) -> LinComb:
+    """(m−1)-fold iterated reduced coproduct of a key, over m-tuples,
+    expanding the last leg each time."""
+    if m == 1:
+        return LinComb() if k == tb.alg.unit else unit((k,))
+    return iter_reduced(tb, k, m - 1).map_linear(
+        lambda t: tb.reduced_k(t[-1]).map_keys(lambda p: t[:-1] + p))
+
+
+def psi_reference(tb, k) -> LinComb:
+    """psi(k) = Σ_m (−1)^{m+1}/m · mul^{m−1}(reduced-Δ^{m−1}(k)), each
+    tuple multiplied from the left."""
+    out = LinComb()
+    for m in range(1, tb.deg[k] + 1):
+        sign = Fraction((-1) ** (m + 1), m)
+        for t, c in iter_reduced(tb, k, m).items():
+            term = unit(t[0])
+            for leg in t[1:]:
+                term = bilinear_extend(tb.mul_k, term, unit(leg))
+            out.iadd_scaled(sign * c, term)
+    return out
+
+
+def varpi_reference(iso, k) -> LinComb:
+    """The length-1 part of the whole word expansion omega⁻¹(psi(k)), over
+    letters."""
+    y = psi_reference(iso.tb, k)
+    out = LinComb()
+    if y:
+        for w, c in iso.omega.inverse(y, iso.tb.deg[k]).items():
+            if len(w) == 1:
+                out.add_term(w[0], c)
+    return out
+
+
+def F_reference(iso, k) -> LinComb:
+    """F(k) = Σ_m varpi^{⊗m}(reduced-Δ^{m−1}(k)), over letter words."""
+    if k == iso.tb.alg.unit:
+        return unit(())
+    out = LinComb()
+    for m in range(1, iso.tb.deg[k] + 1):
+        for t, c in iter_reduced(iso.tb, k, m).items():
+            out.iadd_scaled(c, tensor(*map(iso.varpi_k, t)))
     return out
 
 

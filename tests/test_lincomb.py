@@ -260,14 +260,15 @@ _Q = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), 5])
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, entries=_Q):
     """Rectangular rational matrices, some rows repeated combinations of
     others and some all zero."""
     ncols = draw(st.integers(1, 5))
-    m = draw(st.lists(st.lists(_Q, min_size=ncols, max_size=ncols),
+    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                       min_size=1, max_size=5))
     pick = st.integers(0, len(m) - 1)
-    for i, j, c in draw(st.lists(st.tuples(pick, pick, _Q), max_size=2)):
+    for i, j, c in draw(st.lists(st.tuples(pick, pick, entries),
+                                 max_size=2)):
         m.append([x + c * y for x, y in zip(m[i], m[j])])
     if draw(st.booleans()):
         m.insert(draw(st.integers(0, len(m))), [0] * ncols)
@@ -319,3 +320,46 @@ def test_invert_is_a_left_inverse(m):
          for i, row in enumerate(m)]
     assert _product(linalg.invert(_rows(m)), m) == \
         [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(_Q, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.booleans(), st.data())
+def test_invert_columns_are_columns_of_the_whole_inverse(m, dominant, data):
+    n = len(m)
+    if dominant:
+        m = [[c + 100 * (i == j) for j, c in enumerate(row)]
+             for i, row in enumerate(m)]
+    rows = _rows(m)
+    cols = data.draw(st.sets(st.integers(0, n - 1)))
+    if len(dense_rref(m)[1]) < n:
+        for want in (None, cols):
+            with pytest.raises(AssertionError):
+                linalg.invert(rows, want)
+        return
+    whole = linalg.invert(rows)
+    assert linalg.invert(rows, cols) == [
+        {i: x for i, x in row.items() if i in cols} for row in whole]
+    assert linalg.invert(rows, range(n)) == whole
+
+
+# Entries that vanish mod P, or whose denominator does, next to small ones:
+# the modular rank drops below the rank over Q, or cannot be formed, and
+# the exact forward pass must answer.
+P = linalg.P
+_QP = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), P, -P, 2 * P, P + 1,
+                       Fraction(1, P), Fraction(3, 2 * P), Fraction(P, 7)])
+
+
+@given(_matrices(_QP))
+def test_rank_matches_the_dense_reference_near_the_modulus(m):
+    assert linalg.rank(_rows(m)) == len(dense_rref(m)[1])
+
+
+def test_rank_falls_back_when_the_certificate_is_deficient():
+    for m, mod_p in [([[P]], 0), ([[1, 1], [1, P + 1]], 1),
+                     ([[Fraction(1, P)]], None),
+                     ([[2, Fraction(1, 3 * P)]], None)]:
+        assert linalg._rank_mod_p(_rows(m)) == mod_p
+        assert linalg.rank(_rows(m)) == len(dense_rref(m)[1])
+    assert linalg.rank(_rows([[1, 1], [1, P + 1]])) == 2

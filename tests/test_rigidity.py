@@ -21,6 +21,7 @@ from comprelie.rigidity import (
     eulerian_psi,
     primitive_basis,
 )
+from oracles import F_reference, iter_reduced, psi_reference, varpi_reference
 
 P = parse
 TUN = P("{[d]}")
@@ -52,9 +53,9 @@ def test_degree_table():
 def test_iter_reduced_vanishing():
     tb = tb_hck()
     # m-fold tensors need degree >= m
-    assert tb.iter_reduced(TUN, 2).is_zero()
-    assert tb.iter_reduced(TDEUX, 2) == unit((TUN, TUN))
-    assert tb.iter_reduced(TDEUX, 3).is_zero()
+    assert iter_reduced(tb, TUN, 2).is_zero()
+    assert iter_reduced(tb, TDEUX, 2) == unit((TUN, TUN))
+    assert iter_reduced(tb, TDEUX, 3).is_zero()
 
 
 # --- primitives ---------------------------------------------------------------
@@ -231,6 +232,21 @@ def test_hopf_iso_deterministic():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("make, labels, N", [
+    (cp_handle, ("d",), 5), (cp_handle, ("d", "e"), 4), (hck_handle, ("d",), 5),
+], ids=["cp-5", "cp-4-two-labels", "hck-5"])
+def test_recursions_match_the_iterated_tuples(make, labels, N):
+    # psi and F by first-leg recursion, varpi from the letter columns of
+    # omega's inverse, against the sums over m-tuples and the whole inverse
+    iso = HopfIso(TruncatedBialgebra(make(labels), N))
+    tb = iso.tb
+    for n in range(N + 1):
+        for k in tb.slices[n]:
+            assert tb.psi_k(k) == psi_reference(tb, k)
+            assert iso.varpi_k(k) == varpi_reference(iso, k)
+            assert iso.F_k(k) == F_reference(iso, k)
+
+
 def test_varpi_kills_products_and_unit():
     iso = HopfIso(tb_cp())
     tb = iso.tb
@@ -363,6 +379,10 @@ def test_obstruction_one_label_solvable():
      "b011a40a35981e24be5623c28f80ff2ac9e3dbfe6d1d56b66e6c1623939b63ba"),
     ("rigidity iso --algebra hck --maxdeg 5",
      "912fa3f6f86f7afdd198266edbb5e1d58db996fe6d504137a6c565d2908b522a"),
+    ("rigidity iso --algebra cp --maxdeg 6 --force",
+     "5d847f1e1d91b634a4233b77ed18d1684b685b6f2c9385c4cecd31019bf154cb"),
+    ("rigidity iso --algebra hck --maxdeg 7 --force",
+     "757a1fc9495ec0894273d76fae3c48f7b1a05e22b236841b324ad8a38da65dff"),
     ("rigidity iso --algebra cp --maxdeg 2 --labels 2",
      "0ed758da9f08244c4fcd92dfa396a650508dbb0416155f321b6c54710591b732"),
     ("rigidity obstruction --labels 1",
