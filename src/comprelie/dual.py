@@ -129,12 +129,12 @@ def theta_alphabet(n: int, labels) -> list[tuple[str, int]]:
 def weighted_trees(n: int, gens: list[tuple[str, int]]) -> list:
     """Canonical plain-tree Nodes of total weight n, vertices labeled from
     the weighted alphabet `gens`."""
-    return list(_enum(gens).plain_nodes(n))
+    return list(_enum(((0, g), w) for g, w in gens).plain_nodes(n))
 
 
 def weighted_forests(n: int, gens: list[tuple[str, int]]) -> list[PForest]:
     """Canonical plain forests of total weight n over the weighted alphabet."""
-    return _enum(gens).plain_forests(n)
+    return _enum(((0, g), w) for g, w in gens).plain_forests(n)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ Tree handles are graded by vertex count, word handles by length.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,8 +31,8 @@ from .axioms import AlgebraHandle
 from .dual import diamond, diamond_down
 from .lincomb import unit
 from .ptree import (
-    EMPTY, canonicalize, enum_one_rooted, enum_partitioned,
-    enum_plain_forests, nvertices, serialize,
+    EMPTY, enum_one_rooted, enum_partitioned, enum_plain_forests,
+    serialize,
 )
 from .shuffle import (
     EPS, counit_word, deconcat, fmt_word, hyperboloid_products, shuffle,
@@ -45,26 +44,12 @@ from .ucp import (
 )
 
 
-def with_counters(forest, cap: int) -> list:
-    """All ways to set each vertex counter to 0..cap, canonicalized."""
-    def raw(blocks, it):
-        return tuple(tuple(((k + next(it), lab), raw(kids, it))
-                           for (k, lab), kids in b) for b in blocks)
-
-    out = set()
-    for combo in itertools.product(range(cap + 1), repeat=nvertices(forest)):
-        out.add(canonicalize(raw(forest, iter(combo))))
-    return sorted(out, key=serialize)
-
-
 def _counter_basis(enum, labels, cap: int):
-    """Memoized degree -> basis: every tree of `enum` with counters 0..cap."""
+    """Memoized degree -> basis: every tree of `enum` with counters 0..cap,
+    in serialized order."""
     @lru_cache(maxsize=None)
     def basis(n: int) -> list:
-        out = set()
-        for t in enum(n, labels):
-            out.update(with_counters(t, cap))
-        return sorted(out, key=serialize)
+        return sorted(enum(n, labels, cap), key=serialize)
 
     return basis
 

@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals.
 
 One representation and one kernel.  A matrix is a list of sparse rows,
-dicts column -> coefficient with zeros absent, and ``rref`` is the only
-elimination loop: a forward pass to an echelon form, then one
-back-substitution.  The exact rank is the number of pivots of the forward
-pass alone; nullspace, solve (any number of right-hand sides at once) and
-invert read their answers off the full reduced form.  ``invert`` appends
-identity entries only for the columns of the inverse it is asked for, so
-k columns of an N x N inverse cost one elimination carrying k extra
-columns, not N.  The rows the package eliminates are mostly zero (kernel
-dimensions of coproduct-like maps, the grafting images behind omega), so a
-row costs what it holds, not the width of the slice.  Coefficients are
-ints or Fractions; a row becomes Fractions only when its pivot is not 1
-and must be divided by it, so integer rows with unit pivots, the common
-case of a kernel dimension's map, eliminate in int arithmetic.
+dicts column -> coefficient with zeros absent, and ``_echelon`` is the only
+elimination loop, with ``rref`` adding one back-substitution.  The exact
+rank is the number of pivots of the forward pass alone; nullspace, solve
+(any number of right-hand sides at once) and invert read their answers off
+the full reduced form.  ``invert`` appends identity entries only for the
+columns of the inverse it is asked for, so k columns of an N x N inverse
+cost one elimination carrying k extra columns, not N.  The rows the
+package eliminates are mostly zero (kernel dimensions of coproduct-like
+maps, the grafting images behind omega), so a row costs what it holds, not
+the width of the slice.
+
+Elimination is fraction-free.  The coefficients given may be ints or
+Fractions; each row is scaled once to coprime ints, a row is eliminated
+against a pivot row as ``piv[col]·row − row[col]·piv`` (each factor
+divided by their gcd) and what is left is divided by the gcd of its
+entries, so both loops run on coprime ints alone.  ``rref`` divides each
+row by its pivot once, at the end, and only then do Fractions appear.
 
 Each row's pivot is its least column.  Columns therefore only need to be
 hashable and mutually comparable (slice positions, tree keys, words), the
@@ -23,18 +27,13 @@ only grows until it becomes a new pivot.  The reduced echelon form is
 unique, so the result does not depend on the order of the rows; ``nullspace``
 and ``solve`` number their columns 0..ncols-1, which fixes the order of the
 kernel basis.
-
-``rank`` first ranks the rows modulo the prime P = 2^61 - 1, a
-certificate rather than an answer: the rank mod P never exceeds the rank
-over Q, so when it reaches min(rows, columns), the largest rank possible,
-that is the rank.  Otherwise (a deficient rank, or a coefficient whose
-denominator P divides) it falls back to the exact forward pass, so a rank
-that is reported below full is always the exact one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -44,88 +43,76 @@ def rref(rows: list) -> dict:
 
     The forward pass leaves an echelon form; back-substitution then runs
     once, in descending pivot order, so each row subtracts only rows that
-    are already fully reduced.
-    """
+    are already fully reduced.  The rows stay integral until each is
+    divided by its pivot."""
     pivots = _echelon(rows)
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for p in [p for p in row if p != col and p in pivots]:
-            _axpy(row, -row[p], pivots[p])
+            _eliminate(row, p, pivots[p])
+    for col, row in pivots.items():
+        lead = row[col]
+        if lead != 1:
+            pivots[col] = {k: Fraction(c, lead) for k, c in row.items()}
     return pivots
 
 
 def _echelon(rows: Iterable[dict]) -> dict:
-    """Forward elimination: {pivot column: row whose least column is that
-    pivot, with coefficient 1}.  Each incoming row is reduced against the
-    pivot rows so far until its least column is new."""
+    """Forward elimination: {pivot column: row of coprime ints whose least
+    column is that pivot}.  Each incoming row is scaled to coprime ints, then
+    reduced against the pivot rows so far until its least column is new."""
     pivots: dict = {}
     for row in rows:
-        row = {k: c for k, c in row.items() if c != 0}
+        den = lcm(*map(_denominator, row.values()))
+        row = {k: c.numerator * (den // c.denominator)
+               for k, c in row.items() if c}
+        _divide_content(row)
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                lead = row[col]
-                if lead != 1:
-                    row = {k: Fraction(c) / lead for k, c in row.items()}
                 pivots[col] = row
                 break
-            _axpy(row, -row[col], piv)
+            _eliminate(row, col, piv)
     return pivots
 
 
-def _axpy(row: dict, factor, other: dict) -> None:
-    """row += factor * other, in place, dropping the zeros."""
-    for k, c in other.items():
-        v = row.get(k, 0) + factor * c
-        if v == 0:
-            row.pop(k, None)
-        else:
+# Mapped over a row's values: about twice as fast as a generator on the
+# many one- and two-entry rows of a kernel dimension's map.
+_denominator = attrgetter("denominator")
+
+
+def _eliminate(row: dict, col, piv: dict) -> None:
+    """row <- a·row − b·piv, in place, with a : b = piv[col] : row[col] in
+    lowest terms, so that col drops out; then divided by its content,
+    which keeps the entries from growing."""
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, c in piv.items():
+        v = row.get(k, 0) - b * c
+        if v:
             row[k] = v
+        else:
+            del row[k]
+    _divide_content(row)
 
 
-P = 2 ** 61 - 1
+def _divide_content(row: dict) -> None:
+    """Divide an int row, in place, by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
 
 def rank(rows: list) -> int:
-    """Rank of the rows: certified full mod P, else the number of pivots
-    of the exact forward pass (the rank needs no back-substitution)."""
-    full = min(len(rows), len({c for row in rows for c in row}))
-    if _rank_mod_p(rows) == full:
-        return full
+    """Rank of the rows: the number of pivots of the forward pass (the
+    rank needs no back-substitution)."""
     return len(_echelon(rows))
-
-
-def _rank_mod_p(rows: list):
-    """Rank of the rows over Z/P, or None if a denominator vanishes mod P.
-    The forward pass of ``_echelon``, on residues."""
-    pivots: dict = {}
-    for row in rows:
-        res = {}
-        for k, c in row.items():
-            if type(c) is not int:
-                den = c.denominator % P
-                if not den:
-                    return None
-                c = c.numerator * pow(den, -1, P)
-            c %= P
-            if c:
-                res[k] = c
-        while res:
-            col = min(res)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = pow(res[col], -1, P)
-                pivots[col] = {k: c * inv % P for k, c in res.items()}
-                break
-            f = res[col]
-            for k, c in piv.items():
-                v = (res.get(k, 0) - f * c) % P
-                if v:
-                    res[k] = v
-                else:
-                    res.pop(k, None)
-    return len(pivots)
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
@@ -190,5 +177,10 @@ def mat_vec(m: Mapping, v: Mapping) -> dict:
     """Σ_k v[k]·m[k]: the combination of m's rows that v names."""
     out: dict = {}
     for k, c in v.items():
-        _axpy(out, c, m[k])
+        for j, x in m[k].items():
+            y = out.get(j, 0) + c * x
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
     return out

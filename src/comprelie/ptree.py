@@ -554,11 +554,12 @@ def contract(tree: PForest, partition: list[frozenset]) -> PForest:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration.  All counters are 0 and labels come from a weighted alphabet
-# of (label, weight) pairs; the size of a tree is the total weight of its
-# labels.  The `enum_*` functions give every label weight 1, so size is the
-# vertex count; `dual.weighted_forests` weighs each generator label of
-# `theta` by the vertex count of its generator.  Each family is built size
+# Enumeration.  Vertex decorations come from a weighted alphabet of
+# ((counter, label), weight) pairs; the size of a tree is the total weight
+# of its decorations.  The `enum_*` functions give every decoration weight
+# 1, so size is the vertex count, and take every counter 0..cap (0 by
+# default); `dual.weighted_forests` weighs each generator label of `theta`
+# by the vertex count of its generator.  Each family is built size
 # by size as multisets over the canonically sorted smaller families, so it
 # comes out canonical and needs no dedup pass.  `_multisets` steps through a
 # table of the next item that still fits, so past building that table its
@@ -597,18 +598,18 @@ def _multisets(items: list, sizes: list[int], total: int):
 class _Enum:
     """Memoized enumerator for one weighted alphabet."""
 
-    def __init__(self, alphabet: tuple[tuple[str, int], ...]):
+    def __init__(self, alphabet: tuple[tuple[Dec, int], ...]):
         self.alphabet = tuple(alphabet)
         self._nodes: dict[int, list[Node]] = {}
         self._blocks: dict[int, list[Block]] = {}
         self._plain: dict[int, list[Node]] = {}
 
     def _rooted(self, m: int, below) -> list[Node]:
-        """Canonical nodes of size m: a label of weight w over each block
-        list of size m - w that `below` gives, built once per weight."""
+        """Canonical nodes of size m: a decoration of weight w over each
+        block list of size m - w that `below` gives, built once per weight."""
         weights = sorted({w for _, w in self.alphabet if w <= m})
         lists = {w: below(m - w) for w in weights}
-        out = [((0, d), bl) for d, w in self.alphabet if w <= m
+        out = [(d, bl) for d, w in self.alphabet if w <= m
                for bl in lists[w]]
         return sorted(out, key=ser_node)
 
@@ -661,16 +662,18 @@ def _enum(alphabet) -> _Enum:
     return _ENUMS[key]
 
 
-def _unit_enum(labels) -> _Enum:
-    """The shared enumerator of plain labels, each of weight 1."""
-    return _enum((d, 1) for d in labels)
+def _unit_enum(labels, cap: int = 0) -> _Enum:
+    """The shared enumerator of the labels with every counter 0..cap, each
+    decoration of weight 1."""
+    return _enum(((k, d), 1) for d in labels for k in range(cap + 1))
 
 
-def enum_partitioned(n: int, labels) -> list[PForest]:
-    """Partitioned trees (single root block) with n vertices, counters 0."""
+def enum_partitioned(n: int, labels, cap: int = 0) -> list[PForest]:
+    """Partitioned trees (single root block) with n vertices, counters
+    0..cap."""
     if n == 0:
         return [EMPTY]
-    return [(b,) for b in _unit_enum(labels).blocks(n)]
+    return [(b,) for b in _unit_enum(labels, cap).blocks(n)]
 
 
 def enum_plain_trees(n: int, labels) -> list[PForest]:
@@ -685,8 +688,9 @@ def enum_plain_forests(n: int, labels) -> list[PForest]:
     return _unit_enum(labels).plain_forests(n)
 
 
-def enum_one_rooted(n: int, labels) -> list[PForest]:
-    """Partitioned trees whose root block is a singleton, n vertices."""
+def enum_one_rooted(n: int, labels, cap: int = 0) -> list[PForest]:
+    """Partitioned trees whose root block is a singleton, n vertices,
+    counters 0..cap."""
     if n == 0:
         return []
-    return [((nd,),) for nd in _unit_enum(labels).nodes(n)]
+    return [((nd,),) for nd in _unit_enum(labels, cap).nodes(n)]

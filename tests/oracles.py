@@ -22,7 +22,10 @@ round; the tests compare the two.
   ``psi_reference``, ``varpi_reference`` and ``F_reference``, which sum
   over its tuples (varpi through the whole inverse of omega), gate the
   first-leg recursions and the letter columns of ``rigidity``;
-* ``multisets_brute_force`` gates ``ptree._multisets``;
+* ``multisets_brute_force`` gates ``ptree._multisets``; ``with_counters``,
+  every counter assignment 0..cap on a tree, gates the counterful
+  enumeration (``cap``) of ``ptree.enum_partitioned`` and
+  ``ptree.enum_one_rooted``;
 * ``parse_reference``, the recursive-descent parser, gates ``ptree.parse``;
 * ``ideals_brute_force``, the filter of all 2^n vertex sets, gates
   ``ptree.ideals``; ``admissible_partitions_brute_force``, the filter of
@@ -197,6 +200,18 @@ def multisets_brute_force(items: list, sizes: list[int], total: int) -> list:
              for ix in combinations_with_replacement(range(len(items)), r)
              if sum(sizes[i] for i in ix) == total]
     return [tuple(items[i] for i in ix) for ix in sorted(found)]
+
+
+def with_counters(forest: PForest, cap: int) -> list[PForest]:
+    """All ways to set each vertex counter to 0..cap, canonicalized."""
+    def raw(blocks, it):
+        return tuple(tuple(((k + next(it), lab), raw(kids, it))
+                           for (k, lab), kids in b) for b in blocks)
+
+    out = set()
+    for combo in product(range(cap + 1), repeat=nvertices(forest)):
+        out.add(canonicalize(raw(forest, iter(combo))))
+    return sorted(out, key=serialize)
 
 
 # ---------------------------------------------------------------------------

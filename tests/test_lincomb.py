@@ -286,19 +286,29 @@ def _product(a, m):
             for row in a]
 
 
-@given(_matrices(), st.data())
+# Big integers and big denominators next to small entries: P = 2^61 - 1
+# and its multiples, so that products and gcds run past machine words.
+P = 2 ** 61 - 1
+_QP = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), P, -P, 2 * P, P + 1,
+                       Fraction(1, P), Fraction(3, 2 * P), Fraction(P, 7)])
+
+
+@given(st.one_of(_matrices(), _matrices(_QP)), st.data())
 def test_sparse_kernel_matches_dense_reference(m, data):
     ncols = len(m[0])
     rows = _rows(m)
     a, piv = dense_rref(m)
+    assert all(type(c) is int
+               for row in linalg._echelon(rows).values() for c in row.values())
     red = linalg.rref(rows)
     assert red == {pc: _nonzero(a[r]) for r, pc in enumerate(piv)}
     assert sorted(red) == piv
     assert linalg.rank(rows) == linalg.sparse_rank(iter(rows)) == len(piv)
     assert linalg.nullspace(rows, ncols) == [_nonzero(v)
                                              for v in dense_nullspace(m)]
-    bs = data.draw(st.lists(st.lists(_Q, min_size=len(m), max_size=len(m)),
-                            max_size=3))
+    entries = st.one_of(_Q, _QP)
+    bs = data.draw(st.lists(st.lists(entries, min_size=len(m),
+                                     max_size=len(m)), max_size=3))
     xs = [dense_solve(m, b) for b in bs]
     assert linalg.solve(rows, bs, ncols) == [None if x is None
                                              else _nonzero(x) for x in xs]
@@ -343,23 +353,7 @@ def test_invert_columns_are_columns_of_the_whole_inverse(m, dominant, data):
     assert linalg.invert(rows, range(n)) == whole
 
 
-# Entries that vanish mod P, or whose denominator does, next to small ones:
-# the modular rank drops below the rank over Q, or cannot be formed, and
-# the exact forward pass must answer.
-P = linalg.P
-_QP = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), P, -P, 2 * P, P + 1,
-                       Fraction(1, P), Fraction(3, 2 * P), Fraction(P, 7)])
-
-
+# The big entries alone, where a rank could be lost to a dropped factor.
 @given(_matrices(_QP))
 def test_rank_matches_the_dense_reference_near_the_modulus(m):
     assert linalg.rank(_rows(m)) == len(dense_rref(m)[1])
-
-
-def test_rank_falls_back_when_the_certificate_is_deficient():
-    for m, mod_p in [([[P]], 0), ([[1, 1], [1, P + 1]], 1),
-                     ([[Fraction(1, P)]], None),
-                     ([[2, Fraction(1, 3 * P)]], None)]:
-        assert linalg._rank_mod_p(_rows(m)) == mod_p
-        assert linalg.rank(_rows(m)) == len(dense_rref(m)[1])
-    assert linalg.rank(_rows([[1, 1], [1, P + 1]])) == 2

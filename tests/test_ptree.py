@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comprelie import ptree
-from comprelie.handles import with_counters
+from comprelie.handles import get_handle
 from comprelie.ptree import (
     EMPTY, NEW_BLOCK, parse, serialize, canonicalize, nvertices, vertices,
     graft_shift, split_ideal, ideals, restrict, varsigma,
@@ -17,7 +17,7 @@ from comprelie.ptree import (
 
 from oracles import (
     ideals_brute_force, multisets_brute_force, n_ideals, parse_outcome,
-    parse_reference, parser_inputs,
+    parse_reference, parser_inputs, with_counters,
 )
 
 D1 = ("d",)
@@ -240,7 +240,7 @@ def test_enumeration_order_is_pinned():
 
 def test_rooted_builds_each_blocklist_once():
     # labels of one weight share the block lists below them
-    en = ptree._Enum((("d", 1), ("e", 1)))
+    en = ptree._Enum((((0, "d"), 1), ((0, "e"), 1)))
     built = Counter()
     blocklists = en.blocklists
 
@@ -251,6 +251,19 @@ def test_rooted_builds_each_blocklist_once():
     en.blocklists = counting
     en.blocks(6)
     assert built == Counter(range(6))
+
+
+@pytest.mark.parametrize("labels,cap,top", [(D1, 1, 6), (D1, 2, 5),
+                                           (D2, 1, 4), (D2, 2, 4)])
+@pytest.mark.parametrize("enum,name", [(enum_partitioned, "ucp"),
+                                       (enum_one_rooted, "dual-ucp")])
+def test_counter_bases_match_every_counter_assignment(enum, name, labels,
+                                                      cap, top):
+    basis = get_handle(name, labels, counter_cap=cap).basis
+    for n in range(top + 1):
+        assert basis(n) == sorted({c for t in enum(n, labels)
+                                   for c in with_counters(t, cap)},
+                                  key=serialize), n
 
 
 # --- products ----------------------------------------------------------------
