@@ -104,8 +104,9 @@ def all_pass(reports) -> bool:
 
 
 class _Ops:
-    """Linear extensions of one handle's evaluators, with memo tables that
-    live only as long as the sweep."""
+    """Linear extensions of one handle's evaluators, with key-level memo
+    tables.  They serve one law sweep (one per ``run_all``) and, through
+    ``rigidity.TruncatedBialgebra``, the rigidity pipeline."""
 
     def __init__(self, alg: AlgebraHandle):
         self.alg = alg

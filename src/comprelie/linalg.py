@@ -120,11 +120,6 @@ def sparse_rank(rows: Iterable[dict]) -> int:
     return len(_echelon(rows))
 
 
-def sparse_nullity(rows: Iterable[dict], dim: int) -> int:
-    """dim - rank: kernel dimension of a map given by rows per basis vector."""
-    return dim - sparse_rank(rows)
-
-
 def nullspace(rows: list, ncols: int) -> list[dict]:
     """Basis of {x : row · x = 0 for every row} over columns 0..ncols-1, one
     vector per free column in increasing order, with 1 at that column."""

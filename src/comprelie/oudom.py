@@ -43,17 +43,11 @@ class Extension:
     """
 
     def __init__(self, bullet: Callable, keystr: Callable):
-        self._raw = bullet
+        # the base product on keys, memoized (results are shared: treat
+        # them as read-only, as everything here does)
+        self.bullet = lru_cache(maxsize=None)(bullet)
         self.keystr = keystr
         self._memo: dict = {}
-        self._bmemo: dict = {}
-
-    def bullet(self, a, b) -> LinComb:
-        """The base product on keys, memoized (results are shared: treat
-        them as read-only, as everything here does)."""
-        if (a, b) not in self._bmemo:
-            self._bmemo[(a, b)] = self._raw(a, b)
-        return self._bmemo[(a, b)]
 
     # -- words ------------------------------------------------------------
 
@@ -197,13 +191,6 @@ def absorb_defect(ext: Extension, unit_key, a, bs: Sequence,
 def extension_for(alg: AlgebraHandle) -> Extension:
     """One shared extension (with its memo table) per algebra handle."""
     return Extension(alg.prelie, alg.key_str)
-
-
-def extend_bullet(x: LinComb, z: LinComb, alg: AlgebraHandle) -> LinComb:
-    """The extended • on LinCombs over symmetric words of alg's basis keys.
-    On size-1 words it agrees with alg.prelie; the empty word is the
-    symmetric unit."""
-    return extension_for(alg).apply(x, z)
 
 
 def _degree_pool(alg: AlgebraHandle, lo: int, hi: int) -> list:

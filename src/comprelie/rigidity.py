@@ -28,7 +28,9 @@ assumed.  Hence the m-th chain mul^{m−1} ∘ reduced-Δ^{m−1}(k) is
 Σ a · (the (m−1)-th chain of b), which regroups the products and so relies
 on the associativity of the product; and F(k) = varpi(k) +
 Σ varpi(a) ⊗ F(b) over words, the same sum term for term.  Each key's
-chains and F image are computed once.
+chains and F image are computed once: the product and coproduct tables
+are ``axioms._Ops``'s, which ``TruncatedBialgebra`` extends, and chains,
+psi, varpi and F keep one table each, keyed by basis key.
 
 Everything is exact rational arithmetic, and every linear-algebra step is
 one call into ``linalg``'s sparse elimination on dict rows: the primitives
@@ -54,62 +56,42 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .axioms import AlgebraHandle, LawReport, basis_witnesses, first_witness
+from .axioms import (
+    AlgebraHandle, LawReport, _basis_slices, _Ops, basis_witnesses,
+    first_witness,
+)
 from .linalg import invert, mat_vec, nullspace, rank, solve
 from .lincomb import LinComb, bilinear_extend, tensor_apply2, unit
 from .shuffle import Word, deconcat, fmt_word, shuffle
 
 
-class TruncatedBialgebra:
+class TruncatedBialgebra(_Ops):
     """A connected graded bialgebra handle cut at degree N.
 
-    Caches the slice bases, the key-level product and coproduct tables,
-    and the chains behind psi; everything else in this module works
-    through one of these."""
+    The key-level product and coproduct tables are ``axioms._Ops``'s, the
+    same memo the law sweep uses; this adds the slice bases, the reduced
+    coproduct and the chains behind psi.  Everything else in this module
+    works through one of these."""
+
+    # bound here, not inherited: the tracer counts each class's own
+    # attributes, so this memo is counted apart from the sweep's
+    mul_k = _Ops.mul_k
+    prelie_k = _Ops.prelie_k
+    cop_k = _Ops.cop_k
 
     def __init__(self, alg: AlgebraHandle, N: int):
         for piece in ("mul", "coproduct", "counit"):
             if getattr(alg, piece) is None:
                 raise ValueError(f"{alg.name} lacks {piece}")
-        self.alg = alg
+        super().__init__(alg)
         self.N = N
-        self.slices = {n: list(alg.basis(n)) for n in range(N + 1)}
+        self.slices = _basis_slices(alg, N)
         if self.slices[0] != [alg.unit]:
             raise ValueError(f"{alg.name} is not connected")
         self.deg = {k: n for n, ks in self.slices.items() for k in ks}
-        self._mul: dict = {}
-        self._prelie: dict = {}
-        self._cop: dict = {}
         self._chains: dict = {}
         self._psi: dict = {}
         self._prim: dict = {}
-        self._index: dict = {}
-
-    # -- memoized key-level evaluators --------------------------------------
-
-    def mul_k(self, a, b) -> LinComb:
-        out = self._mul.get((a, b))
-        if out is None:
-            out = self._mul[(a, b)] = self.alg.mul(a, b)
-        return out
-
-    def prelie_k(self, a, b) -> LinComb:
-        out = self._prelie.get((a, b))
-        if out is None:
-            out = self._prelie[(a, b)] = self.alg.prelie(a, b)
-        return out
-
-    def cop_k(self, k) -> LinComb:
-        out = self._cop.get(k)
-        if out is None:
-            out = self._cop[k] = self.alg.coproduct(k)
-        return out
-
-    def prelie(self, x: LinComb, y: LinComb) -> LinComb:
-        return bilinear_extend(self.prelie_k, x, y)
-
-    def cop(self, x: LinComb) -> LinComb:
-        return x.map_linear(self.cop_k)
 
     def reduced_k(self, k) -> LinComb:
         """Coproduct minus the two unit legs; zero on the unit itself."""
@@ -117,19 +99,6 @@ class TruncatedBialgebra:
         if k == e:
             return LinComb()
         return self.cop_k(k) - unit((k, e)) - unit((e, k))
-
-    def reduced(self, x: LinComb) -> LinComb:
-        return x.map_linear(self.reduced_k)
-
-    # -- coordinates ---------------------------------------------------------
-
-    def index(self, n: int) -> dict:
-        """Slice key -> its position in the degree-n basis."""
-        idx = self._index.get(n)
-        if idx is None:
-            idx = self._index[n] = {k: i for i, k in
-                                    enumerate(self.slices[n])}
-        return idx
 
     def chains(self, k) -> list[LinComb]:
         """mul^{m−1} ∘ reduced-Δ^{m−1} of a key for m = 1..deg k: k itself,
@@ -215,10 +184,7 @@ def _iso_witness(images: list, ncols: int, rows: str,
 def eulerian_psi(tb: TruncatedBialgebra, x: LinComb) -> LinComb:
     """Convolution logarithm of the identity, applied to x: fixes
     primitives, annihilates products of augmentation-ideal elements."""
-    out = LinComb()
-    for k, c in x.items():
-        out.iadd_scaled(c, tb.psi_k(k))
-    return out
+    return x.map_linear(tb.psi_k)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +259,6 @@ class Omega:
             self._words[n] = got
         return got
 
-    def word_degree(self, w: Word) -> int:
-        return sum(self.letter_deg[letter] for letter in w)
-
     def apply_word(self, w: Word) -> LinComb:
         out = self._omega.get(w)
         if out is None:
@@ -306,12 +269,9 @@ class Omega:
             self._omega[w] = out
         return out
 
-    def apply(self, x: LinComb) -> LinComb:
-        return x.map_linear(self.apply_word)
-
     def matrix(self, n: int) -> list[list[Fraction]]:
         """For printing: rows indexed by words(n), columns by the slice."""
-        idx = self.tb.index(n)
+        idx = {k: i for i, k in enumerate(self.tb.slices[n])}
         return [_dense(self.apply_word(w), idx) for w in self.words(n)]
 
     def inverse(self, y: LinComb, n: int,
@@ -382,7 +342,6 @@ class HopfIso:
         self.omega = omega if omega is not None else Omega(tb)
         self._varpi: dict = {}
         self._F: dict = {}
-        self._F_words: dict = {}
 
     def varpi_k(self, k) -> LinComb:
         """LinComb over letters: omega⁻¹ solved for the letter columns of
@@ -404,29 +363,24 @@ class HopfIso:
         return x.map_linear(self.varpi_k)
 
     def F_k(self, k) -> LinComb:
-        """LinComb over letter words."""
+        """LinComb over letter words: the empty word on the unit, else
+        varpi(k) + Σ varpi(a) ⊗ F(b) over reduced-Δ(k) = Σ a ⊗ b, letters
+        prefixed to words.  F(b) is read through F_k, so one table holds
+        every key's image."""
         out = self._F.get(k)
         if out is None:
-            out = self._F[k] = (unit(()) if k == self.tb.alg.unit
-                                else self._F_rec(k))
-        return out
-
-    def _F_rec(self, k) -> LinComb:
-        """F of a key of positive degree: varpi(k) + Σ varpi(a) ⊗ F(b)
-        over reduced-Δ(k) = Σ a ⊗ b, letters prefixed to words.  Its memo
-        is apart from F_k's, so an entry set in F_k's table changes F_k
-        of that key alone."""
-        out = self._F_words.get(k)
-        if out is None:
-            out = self.varpi_k(k).map_keys(lambda x: (x,))
-            for (a, b), c in self.tb.reduced_k(k).items():
-                va = self.varpi_k(a)
-                if va:
-                    fb = self._F_rec(b)
-                    for x, cx in va.items():
-                        out.iadd_scaled(c * cx, fb.map_keys(
-                            lambda w, x=x: (x,) + w))
-            self._F_words[k] = out
+            if k == self.tb.alg.unit:
+                out = unit(())
+            else:
+                out = self.varpi_k(k).map_keys(lambda x: (x,))
+                for (a, b), c in self.tb.reduced_k(k).items():
+                    va = self.varpi_k(a)
+                    if va:
+                        fb = self.F_k(b)
+                        for x, cx in va.items():
+                            out.iadd_scaled(c * cx, fb.map_keys(
+                                lambda w, x=x: (x,) + w))
+            self._F[k] = out
         return out
 
     def F(self, x: LinComb) -> LinComb:

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 from .lincomb import LinComb, tensor, unit
-from .linalg import sparse_nullity
+from .linalg import sparse_rank
 from .ptree import (
     EMPTY,
     PForest,
@@ -212,7 +212,7 @@ def kernel_delta_dim(n: int, labels) -> int:
     """Dimension of the kernel of the block-pruning coproduct on the span of
     the n-vertex counter-free partitioned trees."""
     trees = enum_partitioned(n, labels)
-    return sparse_nullity([delta_perm(t) for t in trees], len(trees))
+    return len(trees) - sparse_rank(delta_perm(t) for t in trees)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from comprelie.ucp import (
 )
 from comprelie.oudom import (
     Extension, product_rule_defect, coproduct_rule_defect, absorb_defect,
-    check_lemma7, check_prop6, extend_bullet, extension_for, fmt_symword,
+    check_lemma7, check_prop6, extension_for, fmt_symword,
 )
 from comprelie.handles import cp_handle, hck_handle, ucp_handle
 
@@ -160,24 +160,24 @@ def test_fmt_symword():
 def test_extend_bullet_singletons_agree_with_prelie():
     cp = cp_handle(labels=("a", "b"))
     for t, u in itertools.product(TREES[:4], repeat=2):
-        got = extend_bullet(unit((t,)), unit((u,)), cp)
+        got = extension_for(cp).apply(unit((t,)), unit((u,)))
         assert got == cp_bullet(t, u).map_keys(lambda k: (k,))
 
 
 def test_extend_bullet_unit_word():
     cp = cp_handle(labels=("a", "b"))
     w = unit(extension_for(cp).word([TREES[0], TREES[2]]))
-    assert extend_bullet(w, unit(()), cp) == w
-    assert extend_bullet(unit(()), w, cp).is_zero()
-    assert extend_bullet(unit(()), unit(()), cp) == unit(())
+    assert extension_for(cp).apply(w, unit(())) == w
+    assert extension_for(cp).apply(unit(()), w).is_zero()
+    assert extension_for(cp).apply(unit(()), unit(())) == unit(())
 
 
 def test_extend_bullet_bilinear():
     cp = cp_handle(labels=("a", "b"))
     x = unit((TREES[0],)) + unit((TREES[1],)).scale(3)
     z1, z2 = unit((TREES[2],)), unit((TREES[3],))
-    assert extend_bullet(x, z1 + z2, cp) == \
-        extend_bullet(x, z1, cp) + extend_bullet(x, z2, cp)
+    assert extension_for(cp).apply(x, z1 + z2) == \
+        extension_for(cp).apply(x, z1) + extension_for(cp).apply(x, z2)
 
 
 def test_extension_for_is_cached():

@@ -16,6 +16,8 @@ from functools import partial
 from pathlib import Path
 
 from comprelie import cli  # imports every module the tracer patches
+from comprelie.axioms import _Ops
+from comprelie.rigidity import TruncatedBialgebra
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -77,7 +79,13 @@ def test_tracer_patches_existing_names_once_and_restores_them():
             seen.add((id(target), key))
         assert _run() == plain
         assert tr.counts["linalg.rank.calls"] > 0
+        # rigidity shares _Ops's memo code but is counted as its own layer
+        assert tr.counts["rigidity.k_calls"] > 0
+        assert tr.counts["axioms.k_calls"] == 0
     assert not tr.patched
     after = _bindings()
     assert before.keys() == after.keys()
     assert [k for k in before if before[k] is not after[k]] == []
+    # one memo code, bound in each class's own __dict__ for the tracer
+    for attr in ("mul_k", "prelie_k", "cop_k"):
+        assert vars(TruncatedBialgebra)[attr] is vars(_Ops)[attr]
