@@ -57,9 +57,11 @@ class AlgebraHandle:
     the algebra unit when there is one.  ``mul`` and ``prelie`` evaluate
     the products on a pair of keys; ``coproduct`` (if present) sends a key
     to a LinComb over key pairs, ``counit`` to a scalar (an int or a
-    Fraction).  ``key_str`` renders a key for report witnesses.  A handle
-    with ``mul=None`` is a bare preLie algebra and only the preLie
-    identity is swept.
+    Fraction).  ``key_str`` renders a key for report witnesses, and
+    ``parse_key`` reads that text back: it returns the key, or raises
+    ValueError when the text is not a key of the basis (its shape, or
+    its letters).  A handle with ``mul=None`` is a bare preLie algebra and
+    only the preLie identity is swept.
     """
 
     name: str
@@ -68,6 +70,7 @@ class AlgebraHandle:
     mul: Optional[Callable] = None
     unit: object = None
     key_str: Callable = str
+    parse_key: Optional[Callable] = None
     coproduct: Optional[Callable] = None
     counit: Optional[Callable] = None
 
@@ -314,23 +317,6 @@ def _sweep(alg: AlgebraHandle, laws, maxdeg: int, mode: str,
                           stream(law, arity, defect, sym))
             for law, arity, needs, defect, sym in laws
             if _supported(alg, needs)]
-
-
-def check_comprelie(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
-                    seed: int = 7, samples: int = 40) -> list[LawReport]:
-    """Sweep commutativity, associativity, the preLie identity and the
-    Leibniz identity over all basis tuples of total degree <= maxdeg."""
-    return _sweep(alg, _COMPRELIE_LAWS, maxdeg, mode, seed, samples)
-
-
-def check_bialgebra_compat(alg: AlgebraHandle, maxdeg: int,
-                           mode: str = "exhaustive", seed: int = 7,
-                           samples: int = 40) -> list[LawReport]:
-    """Sweep the coalgebra laws and the interaction of the coproduct with
-    both products (including counit of prelie == 0)."""
-    if alg.coproduct is None:
-        raise ValueError(f"{alg.name} has no coproduct")
-    return _sweep(alg, _BIALGEBRA_LAWS, maxdeg, mode, seed, samples)
 
 
 def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",

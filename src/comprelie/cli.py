@@ -40,24 +40,22 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .axioms import all_pass, report_lines, run_all, selftest_gaps
 from .dual import diamond, diamond_down, psi_inverse, psi_map, theta
 from .handles import HANDLE_NAMES, get_handle
 from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
                       fmt_tensor2, parse_scalar, unit)
-from .ptree import (LABEL_RE, ParseError, counter_total, enum_one_rooted,
-                    enum_partitioned, enum_plain_forests, enum_plain_trees,
-                    is_one_rooted, is_partitioned_tree, is_plain, parse,
-                    serialize)
+from .ptree import (LABEL_RE, ParseError, enum_one_rooted, enum_partitioned,
+                    enum_plain_forests, enum_plain_trees, is_partitioned_tree,
+                    parse, serialize)
 from .rigidity import HopfIso, Omega, TruncatedBialgebra, cofree_obstruction
 from .shuffle import fmt_word, parse_word
 from .ucp import cm_delta_closed, cm_x, delta_perm, kernel_delta_dim
 
 SOFT_BOUND = 5
 EXIT_CLOSED_PIPE = 141
-WORD_ALGEBRAS = ("tvf", "degneg1")
 
 
 class CliError(Exception):
@@ -133,48 +131,6 @@ def parse_lincomb(text: str, parse_key: Callable) -> LinComb:
     return out
 
 
-# The trees each tree algebra's basis is made of.
-_BASIS_SHAPES = {
-    "ucp": is_partitioned_tree,
-    "cp": lambda t: is_partitioned_tree(t) and not counter_total(t),
-    "hck": lambda t: is_plain(t) and not counter_total(t),
-    "dual-ucp": is_one_rooted,
-}
-_BASIS_SHAPES["dual-cp"] = _BASIS_SHAPES["cp"]
-
-
-def key_parser(alg) -> Callable:
-    """The parser of the handle's basis keys: trees of the shape its basis
-    is made of, or words whose letters must be in the handle's alphabet
-    (its degree-1 basis)."""
-    if alg.name in WORD_ALGEBRAS:
-        letters = {w[0] for w in alg.basis(1)}
-        read, ok = parse_word, letters.issuperset
-        why = (f"has a letter outside the {alg.name} alphabet "
-               f"{','.join(sorted(letters))}")
-    else:
-        read, ok = parse, _BASIS_SHAPES[alg.name]
-        why = f"is outside the {alg.name} basis"
-
-    def parse_key(text: str):
-        key = read(text)
-        if not ok(key):
-            raise CliError(f"{text!r} {why}")
-        return key
-
-    return parse_key
-
-
-def handle_for(name: str, labels: tuple, alphabet: Optional[tuple],
-               abc: Optional[tuple] = None):
-    if name in WORD_ALGEBRAS:
-        kw = {"alphabet": alphabet} if alphabet else {}
-        if name == "degneg1" and abc:
-            kw.update(zip("abc", abc))
-        return get_handle(name, **kw)
-    return get_handle(name, labels=labels)
-
-
 # ---------------------------------------------------------------------------
 # Verbs.
 # ---------------------------------------------------------------------------
@@ -196,22 +152,21 @@ def cmd_enum(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    alg = handle_for(args.algebra, ("d",), None)
+    alg = get_handle(args.algebra)
     op = alg.prelie if args.op == "prelie" else alg.mul
     if op is None:
         raise CliError(f"{args.algebra} has no commutative product")
-    parse_key = key_parser(alg)
-    x = parse_lincomb(args.x, parse_key)
-    y = parse_lincomb(args.y, parse_key)
+    x = parse_lincomb(args.x, alg.parse_key)
+    y = parse_lincomb(args.y, alg.parse_key)
     print(fmt_lincomb(bilinear_extend(op, x, y), alg.key_str))
     return 0
 
 
 def cmd_coprod(args) -> int:
-    alg = handle_for(args.algebra, ("d",), None)
+    alg = get_handle(args.algebra)
     if alg.coproduct is None:
         raise CliError(f"{args.algebra} has no coproduct")
-    x = parse_lincomb(args.x, key_parser(alg))
+    x = parse_lincomb(args.x, alg.parse_key)
     print(fmt_tensor2(x.map_linear(alg.coproduct), alg.key_str))
     return 0
 
@@ -309,7 +264,7 @@ def cmd_rigidity_obstruction(args) -> int:
 
 def _check_job(spec) -> list:
     name, labels, alphabet, abc, maxdeg, mode, seed, samples = spec
-    alg = handle_for(name, labels, alphabet, abc)
+    alg = get_handle(name, labels, alphabet, abc)
     return run_all(alg, maxdeg, mode=mode, seed=seed, samples=samples)
 
 
@@ -337,7 +292,7 @@ def cmd_check(args) -> int:
     failed = not all_pass(reports)
     if args.selftest:
         for name in names:
-            alg = handle_for(name, labels, alphabet, abc)
+            alg = get_handle(name, labels, alphabet, abc)
             gaps = selftest_gaps(alg, min(args.maxdeg, 3))
             if gaps:
                 print(f"selftest {name} FAIL gaps={','.join(gaps)}")

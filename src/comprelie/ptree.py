@@ -461,11 +461,6 @@ def coarsenings(forest: PForest) -> list[PForest]:
     return [canonicalize(bl) for bl in do_blocks(forest)]
 
 
-def coarsens_to(fine: PForest, coarse: PForest) -> bool:
-    """True iff `coarse` arises from `fine` by merging sibling blocks."""
-    return coarse in set(coarsenings(fine))
-
-
 def admissible_partitions(tree: PForest) -> list[list[frozenset]]:
     """Vertex-set partitions all of whose pieces restrict to one-rooted
     trees with no singleton child block at their root.

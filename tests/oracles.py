@@ -27,6 +27,8 @@ round; the tests compare the two.
   enumeration (``cap``) of ``ptree.enum_partitioned`` and
   ``ptree.enum_one_rooted``;
 * ``parse_reference``, the recursive-descent parser, gates ``ptree.parse``;
+  ``coarsens_to``, membership in ``ptree.coarsenings``, is the order of
+  sibling-block merges that the coarsening tests check;
 * ``ideals_brute_force``, the filter of all 2^n vertex sets, gates
   ``ptree.ideals``; ``admissible_partitions_brute_force``, the filter of
   all Bell(n) set partitions, gates ``ptree.admissible_partitions``;
@@ -52,7 +54,7 @@ from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.oudom import Extension
 from comprelie.ptree import (
     EMPTY, NEW_BLOCK, Block, Node, ParseError, PForest, _multisets,
-    build_root, canonicalize, forget_blocks, graft_shift,
+    build_root, canonicalize, coarsenings, forget_blocks, graft_shift,
     is_one_rooted, is_partitioned_tree, nvertices, restrict, serialize,
     set_partitions, varsigma, vertices,
 )
@@ -336,6 +338,11 @@ def _edited_forest(draw) -> str:
 
 parser_inputs = st.one_of(st.text(GRAMMAR_CHARS, max_size=16),
                           _edited_forest())
+
+
+def coarsens_to(fine: PForest, coarse: PForest) -> bool:
+    """True iff `coarse` arises from `fine` by merging sibling blocks."""
+    return coarse in set(coarsenings(fine))
 
 
 # ---------------------------------------------------------------------------

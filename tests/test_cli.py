@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from comprelie import cli
-from comprelie.cli import main, parse_lincomb
+from comprelie.cli import build_parser, main, parse_lincomb
+from comprelie.handles import HANDLE_NAMES, get_handle
 from comprelie.lincomb import LinComb, fmt_lincomb, unit
 from comprelie.ptree import parse, serialize
 from comprelie.shuffle import parse_word
@@ -410,17 +412,85 @@ def test_word_algebras_parse_the_alphabet_like_every_verb(capsys,
                                                         monkeypatch):
     # blank parts and the spaces around letters are dropped, as for trees
     swept = []
-    real = cli.handle_for
+    real = cli.get_handle
 
-    def recording(name, labels, alphabet, abc):
+    def recording(name, labels=("d",), alphabet=None, abc=None):
         swept.append(alphabet)
         return real(name, labels, alphabet, abc)
 
-    monkeypatch.setattr(cli, "handle_for", recording)
+    monkeypatch.setattr(cli, "get_handle", recording)
     for alphabet in ("a,b", "a, b", "a,,b", " a ,b,"):
         assert main(["check", "--algebra", "tvf", "--maxdeg", "1",
                      "--alphabet", alphabet]) == 0
     assert swept == [("a", "b")] * 4
+
+
+def _every_verb_on_every_handle():
+    """(argv, what the handle lacks or None): one degree-1 key each."""
+    lacks = {("mul", "dual-ucp"): "has no commutative product",
+             ("coprod", "dual-cp"): "has no coproduct",
+             ("coprod", "dual-ucp"): "has no coproduct"}
+    runs = []
+    for name in HANDLE_NAMES:
+        alg = get_handle(name)
+        key = alg.key_str(alg.basis(1)[0])
+        runs += [(["eval", "--algebra", name, "--op", op, key, key], op)
+                 for op in ("prelie", "mul")]
+        runs += [(["coprod", "--algebra", name, key], "coprod"),
+                 (["check", "--algebra", name, "--maxdeg", "1"], "check")]
+    runs += [(["rigidity", "iso", "--algebra", name, "--maxdeg", "2"], "iso")
+             for name in ("cp", "hck")]
+    return [pytest.param(argv, lacks.get((what, argv[2])), id=" ".join(argv))
+            for argv, what in runs]
+
+
+@pytest.mark.parametrize("argv,lacks", _every_verb_on_every_handle())
+def test_every_verb_on_every_handle(argv, lacks):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    if lacks is None:
+        assert (rc, err.getvalue()) == (0, "")
+        assert out.getvalue()
+    else:
+        assert rc == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"error: {argv[2]} {lacks}\n"
+
+
+def _surface(parser, verb=()):
+    """verb (and subverb) -> the option strings its parser accepts."""
+    out = {" ".join(verb): [o for a in parser._actions
+                            for o in a.option_strings]} if verb else {}
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for name, sub in a.choices.items():
+                out.update(_surface(sub, verb + (name,)))
+    return out
+
+
+def test_cli_surface_is_pinned():
+    # a change that adds or drops a flag shows up here
+    h = ["-h", "--help"]
+    alphabet = ["--labels", "--alphabet"]
+    assert _surface(build_parser()) == {
+        "enum": h + ["--n", "--mode"] + alphabet + ["--force"],
+        "eval": h + ["--algebra", "--op"],
+        "coprod": h + ["--algebra"],
+        "delta": h,
+        "kerdelta": h + ["--degree"] + alphabet + ["--force"],
+        "cm": h + ["--show", "--force"],
+        "diamond": h + ["--variant"],
+        "theta": h,
+        "psi": h + ["--inverse"],
+        "rigidity": h,
+        "rigidity iso": h + ["--algebra", "--maxdeg"] + alphabet
+        + ["--force"],
+        "rigidity obstruction": h + alphabet + ["--cap"],
+        "check": h + ["--algebra", "--maxdeg", "--mode", "--seed",
+                      "--samples", "--selftest", "--abc", "--jobs"]
+        + alphabet + ["--force"],
+    }
 
 
 def exits_0_or_2(argv):

@@ -8,7 +8,7 @@ from comprelie.handles import get_handle
 from comprelie.ptree import (
     EMPTY, NEW_BLOCK, parse, serialize, canonicalize, nvertices, vertices,
     graft_shift, split_ideal, ideals, restrict, varsigma,
-    coarsenings, coarsens_to, admissible_partitions, contract,
+    coarsenings, admissible_partitions, contract,
     mul_merge, mul_disjoint, forget_blocks, drop_counters, build_root,
     is_partitioned_tree, is_plain, is_one_rooted, counter_total,
     enum_partitioned, enum_plain_trees, enum_plain_forests, enum_one_rooted,
@@ -16,8 +16,8 @@ from comprelie.ptree import (
 )
 
 from oracles import (
-    ideals_brute_force, multisets_brute_force, n_ideals, parse_outcome,
-    parse_reference, parser_inputs, with_counters,
+    coarsens_to, ideals_brute_force, multisets_brute_force, n_ideals,
+    parse_outcome, parse_reference, parser_inputs, with_counters,
 )
 
 D1 = ("d",)
