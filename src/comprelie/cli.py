@@ -38,7 +38,6 @@ import argparse
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Callable
 
@@ -146,8 +145,11 @@ _ENUMERATORS = {
 def cmd_enum(args) -> int:
     guard(args.n, args.force, "--n")
     items = _ENUMERATORS[args.mode](args.n, labels_from(args))
-    for line in sorted(serialize(t) for t in items):
-        print(line)
+    lines = sorted(serialize(t) for t in items)
+    if lines:
+        # One write: under PYTHONUNBUFFERED a print per line is two
+        # syscalls, tens of thousands for a large listing.
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -282,6 +284,9 @@ def cmd_check(args) -> int:
               args.samples) for n in names]
     workers = min(at_least(args.jobs, 1, "--jobs"), len(specs))
     if workers > 1:
+        # Imported here: the pool's imports cost every other process
+        # about 20 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_check_job, specs))
     else:

@@ -59,13 +59,16 @@ def rref(rows: list) -> dict:
 
 def _echelon(rows: Iterable[dict]) -> dict:
     """Forward elimination: {pivot column: row of coprime ints whose least
-    column is that pivot}.  Each incoming row is scaled to coprime ints, then
-    reduced against the pivot rows so far until its least column is new."""
+    column is that pivot}.  Each incoming row is scaled to coprime ints (an
+    int row needs only its content divided out), then reduced against the
+    pivot rows so far until its least column is new."""
     pivots: dict = {}
     for row in rows:
-        den = lcm(*map(_denominator, row.values()))
-        row = {k: c.numerator * (den // c.denominator)
-               for k, c in row.items() if c}
+        row = {k: c for k, c in row.items() if c}
+        if not all(map(_is_int, row.values())):
+            den = lcm(*map(_denominator, row.values()))
+            row = {k: c.numerator * (den // c.denominator)
+                   for k, c in row.items()}
         _divide_content(row)
         while row:
             col = min(row)
@@ -77,9 +80,10 @@ def _echelon(rows: Iterable[dict]) -> dict:
     return pivots
 
 
-# Mapped over a row's values: about twice as fast as a generator on the
+# Both mapped over a row's values: about twice as fast as a generator on the
 # many one- and two-entry rows of a kernel dimension's map.
 _denominator = attrgetter("denominator")
+_is_int = int.__instancecheck__
 
 
 def _eliminate(row: dict, col, piv: dict) -> None:

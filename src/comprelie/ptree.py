@@ -194,15 +194,19 @@ def counter_total(forest: PForest) -> int:
 def vertices(forest: PForest) -> list[tuple[VertexRef, Node]]:
     """All (ref, node) pairs in depth-first order."""
     out: list[tuple[VertexRef, Node]] = []
-
-    def walk(prefix: VertexRef, blocks):
-        for bi, b in enumerate(blocks):
-            for ni, nd in enumerate(b):
-                out.append((prefix + ((bi, ni),), nd))
-                walk(out[-1][0], nd[1])
-
-    walk((), forest)
+    _walk((), forest, out)
     return out
+
+
+# Tree walks recurse through private module-level functions like this one,
+# not through nested closures: a closure that calls itself is a reference
+# cycle, which leaves its cells (the ideal, the output lists) to the cyclic
+# garbage collector.
+def _walk(prefix: VertexRef, blocks, out: list) -> None:
+    for bi, b in enumerate(blocks):
+        for ni, nd in enumerate(b):
+            out.append((prefix + ((bi, ni),), nd))
+            _walk(out[-1][0], nd[1], out)
 
 
 def is_partitioned_tree(forest: PForest) -> bool:
@@ -225,17 +229,22 @@ def is_one_rooted(forest: PForest) -> bool:
 # ---------------------------------------------------------------------------
 
 def drop_counters(forest: PForest) -> PForest:
-    def raw(blocks):
-        return tuple(tuple(((0, d), raw(kids)) for (_, d), kids in b)
-                     for b in blocks)
-    return canonicalize(raw(forest))
+    return canonicalize(_uncounted(forest))
+
+
+def _uncounted(blocks) -> PForest:
+    return tuple(tuple(((0, d), _uncounted(kids)) for (_, d), kids in b)
+                 for b in blocks)
 
 
 def forget_blocks(forest: PForest) -> PForest:
     """Split every block into singletons (partitioned -> plain forest)."""
-    def raw(blocks):
-        return tuple(((dec, raw(kids)),) for b in blocks for dec, kids in b)
-    return canonicalize(raw(forest))
+    return canonicalize(_singletons(forest))
+
+
+def _singletons(blocks) -> PForest:
+    return tuple(((dec, _singletons(kids)),) for b in blocks
+                 for dec, kids in b)
 
 
 def mul_merge(a: PForest, b: PForest) -> PForest:
@@ -333,18 +342,19 @@ def ideals(forest: PForest) -> list[frozenset]:
     the empty and the full set included.  Under each vertex, either its
     whole subtree is in the ideal, or the vertex is out and each child
     chooses on its own: the work follows the ideals, not the 2^n subsets."""
-    def of_blocks(prefix: VertexRef, blocks) -> list[frozenset]:
-        # The last ideal of every list is the full vertex set.
-        out = [frozenset()]
-        for bi, b in enumerate(blocks):
-            for ni, (_, kids) in enumerate(b):
-                ref = prefix + ((bi, ni),)
-                below = of_blocks(ref, kids)
-                below.append(below[-1] | {ref})
-                out = [a | c for a in out for c in below]
-        return out
+    return _ideals((), forest)
 
-    return of_blocks((), forest)
+
+def _ideals(prefix: VertexRef, blocks) -> list[frozenset]:
+    # The last ideal of every list is the full vertex set.
+    out = [frozenset()]
+    for bi, b in enumerate(blocks):
+        for ni, (_, kids) in enumerate(b):
+            ref = prefix + ((bi, ni),)
+            below = _ideals(ref, kids)
+            below.append(below[-1] | {ref})
+            out = [a | c for a in out for c in below]
+    return out
 
 
 def split_ideal(forest: PForest, ideal: frozenset, bump: bool = True
@@ -358,26 +368,27 @@ def split_ideal(forest: PForest, ideal: frozenset, bump: bool = True
     into the ideal; partially removed blocks just shrink and do not count.
     """
     pruned: list[Node] = []
+    return canonicalize(_cut((), forest, ideal, bump, pruned)), tuple(pruned)
 
-    def cut(ref: VertexRef, blocks) -> PForest:
-        out = []
-        for bi, block in enumerate(blocks):
-            kept = []
-            for ni, nd in enumerate(block):
-                r = ref + ((bi, ni),)
-                if r in ideal:
-                    pruned.append(nd)
-                    continue
-                (k, d), kids = nd
-                sub = cut(r, kids)
-                if bump:
-                    k += len(kids) - len(sub)
-                kept.append(((k, d), sub))
-            if kept:
-                out.append(tuple(kept))
-        return tuple(out)
 
-    return canonicalize(cut((), forest)), tuple(pruned)
+def _cut(ref: VertexRef, blocks, ideal: frozenset, bump: bool,
+         pruned: list) -> PForest:
+    out = []
+    for bi, block in enumerate(blocks):
+        kept = []
+        for ni, nd in enumerate(block):
+            r = ref + ((bi, ni),)
+            if r in ideal:
+                pruned.append(nd)
+                continue
+            (k, d), kids = nd
+            sub = _cut(r, kids, ideal, bump, pruned)
+            if bump:
+                k += len(kids) - len(sub)
+            kept.append(((k, d), sub))
+        if kept:
+            out.append(tuple(kept))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +401,23 @@ def restrict(forest: PForest, keep: frozenset) -> PForest:
     same-block, and vertices whose parent is gone become roots (one floated
     root block per surviving part of a block)."""
     floated: list[Block] = []
+    return canonicalize(_kept((), forest, keep, floated) + tuple(floated))
 
-    def kept(ref: VertexRef, blocks) -> PForest:
-        out = []
-        for bi, block in enumerate(blocks):
-            members = []
-            for ni, (dec, kids) in enumerate(block):
-                r = ref + ((bi, ni),)
-                sub = kept(r, kids)
-                if r in keep:
-                    members.append((dec, sub))
-                else:
-                    floated.extend(sub)
-            if members:
-                out.append(tuple(members))
-        return tuple(out)
 
-    return canonicalize(kept((), forest) + tuple(floated))
+def _kept(ref: VertexRef, blocks, keep: frozenset, floated: list) -> PForest:
+    out = []
+    for bi, block in enumerate(blocks):
+        members = []
+        for ni, (dec, kids) in enumerate(block):
+            r = ref + ((bi, ni),)
+            sub = _kept(r, kids, keep, floated)
+            if r in keep:
+                members.append((dec, sub))
+            else:
+                floated.extend(sub)
+        if members:
+            out.append(tuple(members))
+    return tuple(out)
 
 
 def varsigma(tree: PForest) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import io
 import os
 import subprocess
@@ -53,6 +54,11 @@ def test_enum_golden(capsys):
     assert lines == sorted(lines)
     for line in lines:
         assert serialize(parse(line)) == line
+
+
+def test_enum_writes_nothing_for_an_empty_listing(capsys):
+    assert run(capsys, "enum", "--n", "0", "--mode", "one-rooted") == (0, "")
+    assert run(capsys, "enum", "--n", "0") == (0, "{}\n")
 
 
 def test_enum_other_modes(capsys):
@@ -249,7 +255,7 @@ def test_check_pool_never_outnumbers_the_algebras(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = run(capsys, "check", "--algebra", "all", "--maxdeg", "1")
     for jobs, size in (("100000", 7), ("3", 3)):
         assert run(capsys, "check", "--algebra", "all", "--maxdeg", "1",
@@ -565,6 +571,25 @@ def test_module_entry_point():
                        cwd=SRC)
     assert r.returncode == 0
     assert r.stdout == "1*{[d([e])]}\n"
+
+
+def test_import_leaves_the_process_pool_out():
+    code = ("import sys, comprelie.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=SRC)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
+
+
+def test_check_jobs_in_a_fresh_process_matches_serial():
+    # here the pool's module is first imported inside `check`
+    cmd = [sys.executable, "-m", "comprelie.cli", "check", "--algebra",
+           "all", "--maxdeg", "2", "--jobs"]
+    one, two = (subprocess.run(cmd + [jobs], capture_output=True, cwd=SRC)
+                for jobs in ("1", "2"))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
+    assert len(one.stdout.splitlines()) == 50
 
 
 @pytest.mark.parametrize("argv,first", [

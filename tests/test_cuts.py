@@ -3,15 +3,20 @@ of theta on seeded random trees, against counts taken from the definitions
 (`tests/oracles.py`), and the admissible partitions against the filter of
 all set partitions."""
 
+import gc
 import random
 
 import pytest
 
 from comprelie.dual import theta
 from comprelie.ptree import (
-    admissible_partitions, canonicalize, enum_partitioned, nvertices, parse,
+    admissible_partitions, canonicalize, drop_counters, enum_partitioned,
+    nvertices, parse, restrict, vertices,
 )
-from comprelie.ucp import coproduct_cp, coproduct_hck, coproduct_ucp
+from comprelie.ucp import (
+    coproduct_cp, coproduct_hck, coproduct_ucp, cp_bullet, hck_bullet,
+    ucp_bullet,
+)
 
 from oracles import (
     admissible_partitions_brute_force, n_admissible, n_cut_terms, n_ideals,
@@ -117,3 +122,32 @@ def test_admissible_partitions_of_forests(seed, n, roots):
     """Several roots in one block, and each root in a block of its own."""
     for plain in (False, True):
         assert_same_partitions(random_forest(seed, n, roots, plain))
+
+
+TREE = parse("{[d([e:1,f([d])],[e])]}")
+PLAIN = parse("{[d([e([f])],[e])]}")
+CALLS = {
+    "coproduct_ucp": lambda: coproduct_ucp(TREE),
+    "coproduct_cp": lambda: coproduct_cp(drop_counters(TREE)),
+    "coproduct_hck": lambda: coproduct_hck(PLAIN),
+    "ucp_bullet": lambda: ucp_bullet(TREE, parse("{[e]}")),
+    "cp_bullet": lambda: cp_bullet(drop_counters(TREE), parse("{[e]}")),
+    "hck_bullet": lambda: hck_bullet(PLAIN, parse("{[e]}")),
+    "restrict": lambda: restrict(TREE, frozenset(
+        ref for i, (ref, _) in enumerate(vertices(TREE)) if i % 2)),
+    "drop_counters": lambda: drop_counters(TREE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_tree_walks_leave_no_cycles(name):
+    """The cut and graft layer frees what it builds by reference counting:
+    with the cyclic collector off, a call leaves nothing for it."""
+    CALLS[name]()  # fill any cache before counting
+    gc.collect()
+    gc.disable()
+    try:
+        CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -203,6 +203,16 @@ def test_sparse_rank():
     assert linalg.sparse_rank([{}]) == 0
 
 
+def test_echelon_scales_int_and_fraction_rows_alike():
+    # an int row drops its zeros and its content, like a Fraction row, and
+    # the caller's row is left as it was
+    for row in ({0: 4, 1: 0, 2: 6}, {0: Fraction(4), 1: 0, 2: Fraction(6)},
+                {0: Fraction(2, 3), 2: 1}):
+        before = dict(row)
+        assert linalg._echelon([row]) == {0: {0: 2, 2: 3}}
+        assert row == before
+
+
 def _rows(m):
     return [dict(enumerate(row)) for row in m]
 
