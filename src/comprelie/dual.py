@@ -149,15 +149,16 @@ def psi_map(t: PForest) -> LinComb:
 def psi_inverse(t: PForest) -> LinComb:
     """Inverse of `psi_map` on the tree basis, by downward recursion in the
     number of blocks (every proper coarsening has strictly fewer)."""
-    memo: dict[PForest, LinComb] = {}
+    return _psi_inverse(t, {})
 
-    def inv(s: PForest) -> LinComb:
-        if s not in memo:
-            out = unit(s)
-            for c, coeff in psi_map(s).items():
-                if c != s:
-                    out.iadd_scaled(-coeff, inv(c))
-            memo[s] = out
-        return memo[s]
 
-    return inv(t)
+def _psi_inverse(s: PForest, memo: dict) -> LinComb:
+    """`psi_inverse` of s, each coarsening's inverse computed once per call
+    and kept in memo."""
+    if s not in memo:
+        out = unit(s)
+        for c, coeff in psi_map(s).items():
+            if c != s:
+                out.iadd_scaled(-coeff, _psi_inverse(c, memo))
+        memo[s] = out
+    return memo[s]

@@ -5,9 +5,11 @@ dicts column -> coefficient with zeros absent, and ``_echelon`` is the only
 elimination loop, with ``rref`` adding one back-substitution.  The exact
 rank is the number of pivots of the forward pass alone; nullspace, solve
 (any number of right-hand sides at once) and invert read their answers off
-the full reduced form.  ``invert`` appends identity entries only for the
-columns of the inverse it is asked for, so k columns of an N x N inverse
-cost one elimination carrying k extra columns, not N.  The rows the
+the full reduced form, and report a system with no answer by None (an
+inconsistent right-hand side, a singular matrix), not by an exception.
+``invert`` appends identity entries only for the columns of the inverse it
+is asked for, so k columns of an N x N inverse cost one elimination
+carrying k extra columns, not N.  The rows the
 package eliminates are mostly zero (kernel dimensions of coproduct-like
 maps, the grafting images behind omega), so a row costs what it holds, not
 the width of the slice.
@@ -155,20 +157,23 @@ def solve(rows: list, bs: Sequence[Sequence], ncols: int) -> list:
             for j in range(len(bs))]
 
 
-def invert(rows: list, cols: Optional[Iterable[int]] = None) -> list[dict]:
-    """Rows of the inverse of a square invertible matrix over columns
-    0..n-1, restricted to the columns `cols` of the inverse (all of them
-    by default); asserts invertibility.
+def invert(rows: list, cols: Optional[Iterable[int]] = None
+           ) -> Optional[list[dict]]:
+    """Rows of the inverse of a square matrix over columns 0..n-1,
+    restricted to the columns `cols` of the inverse (all of them by
+    default), or None if the matrix is singular.
 
     Row i of the input gets the identity entry n + i only when i is in
     cols: reducing [M | E] to [I | M⁻¹E] leaves exactly those columns of
-    M⁻¹ on the right."""
+    M⁻¹ on the right, and M is singular exactly when some column left of
+    n holds no pivot."""
     n = len(rows)
     assert all(0 <= c < n for row in rows for c in row), "not square"
     want = range(n) if cols is None else set(cols)
     red = rref([{**row, n + i: 1} if i in want else row
                 for i, row in enumerate(rows)])
-    assert sorted(red) == list(range(n)), "matrix is singular"
+    if any(j not in red for j in range(n)):
+        return None
     return [{c - n: x for c, x in red[j].items() if c >= n} for j in range(n)]
 
 

@@ -207,8 +207,7 @@ def tensor_apply2(t: LinComb, f: Callable[[Hashable], LinComb],
 # the zero element prints as `0`.
 # ---------------------------------------------------------------------------
 
-def fmt_scalar(c: Fraction) -> str:
-    c = Fraction(c)
+def fmt_scalar(c: Fraction | int) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)

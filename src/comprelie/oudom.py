@@ -201,19 +201,22 @@ def _sym_words(pool: list, maxlen: int, maxdeg: int) -> list:
     """Multisets of ≤ maxlen pool keys with total degree ≤ maxdeg, as
     (word, degree) pairs; pool must be sorted by degree ascending."""
     out = [((), 0)]
-
-    def rec(start: int, word: tuple, deg: int) -> None:
-        for i in range(start, len(pool)):
-            k, n = pool[i]
-            if deg + n > maxdeg:
-                break
-            grown = word + (k,)
-            out.append((grown, deg + n))
-            if len(grown) < maxlen:
-                rec(i, grown, deg + n)
-
-    rec(0, (), 0)
+    _grow_sym_words(pool, maxlen, maxdeg, 0, (), 0, out)
     return out
+
+
+def _grow_sym_words(pool: list, maxlen: int, maxdeg: int, start: int,
+                    word: tuple, deg: int, out: list) -> None:
+    """Append to out, depth first, every extension of word (of degree deg)
+    by pool keys from index start on."""
+    for i in range(start, len(pool)):
+        k, n = pool[i]
+        if deg + n > maxdeg:
+            break
+        grown = word + (k,)
+        out.append((grown, deg + n))
+        if len(grown) < maxlen:
+            _grow_sym_words(pool, maxlen, maxdeg, i, grown, deg + n, out)
 
 
 def check_prop6(alg: AlgebraHandle, maxsize: int) -> list[LawReport]:

@@ -452,24 +452,24 @@ def coarsenings(forest: PForest) -> list[PForest]:
     The returned list repeats a canonical form once per labeled choice, so
     summing over it gives the right multiplicities.
     """
-    def do_blocks(blocks) -> list[tuple]:
-        per_block = []
-        for block in blocks:
-            choices = [do_node(n) for n in block]
-            per_block.append([tuple(c) for c in product(*choices)])
-        out = []
-        for combo in product(*per_block):
-            for parts in set_partitions(list(range(len(combo)))):
-                merged = tuple(tuple(n for i in grp for n in combo[i])
-                               for grp in parts)
-                out.append(merged)
-        return out
+    return [canonicalize(bl) for bl in _merged_blocks(forest)]
 
-    def do_node(nd: Node) -> list[Node]:
-        dec, blocks = nd
-        return [(dec, bl) for bl in do_blocks(blocks)]
 
-    return [canonicalize(bl) for bl in do_blocks(forest)]
+def _merged_blocks(blocks) -> list[tuple]:
+    """Every merge of the block list `blocks` along a set partition of its
+    positions, each vertex's child blocks merged the same way first."""
+    per_block = []
+    for block in blocks:
+        choices = [[(dec, bl) for bl in _merged_blocks(kids)]
+                   for dec, kids in block]
+        per_block.append([tuple(c) for c in product(*choices)])
+    out = []
+    for combo in product(*per_block):
+        for parts in set_partitions(list(range(len(combo)))):
+            merged = tuple(tuple(n for i in grp for n in combo[i])
+                           for grp in parts)
+            out.append(merged)
+    return out
 
 
 def admissible_partitions(tree: PForest) -> list[list[frozenset]]:
@@ -483,33 +483,34 @@ def admissible_partitions(tree: PForest) -> list[list[frozenset]]:
     enumerated in a mode its parent can use, so past a factor of two the
     work follows the partitions returned, not the Bell(n) set partitions.
     """
-    def grow(ref: VertexRef, kids, joins: bool):
-        # The partitions of the subtree at `ref`, each a pair (refs of the
-        # piece that holds `ref`, the other pieces): first where `ref`
-        # heads its piece, then, if `joins`, where it joins its parent's.
-        heads = [((ref,), ())]
-        joined = heads if joins else []
-        for bi, b in enumerate(kids):
-            # ways[j]: choices for the block so far with j of its vertices
-            # in this piece, j = 2 standing for two or more
-            ways: list[list] = [[((), ())], [], []]
-            for ni, (_, sub) in enumerate(b):
-                h, m = grow(ref + ((bi, ni),), sub, joins or len(b) > 1)
-                h = [((), rest + (frozenset(own),)) for own, rest in h]
-                ways = [_pairs(ways[0], h),
-                        _pairs(ways[0], m) + _pairs(ways[1], h),
-                        _pairs(ways[1], m) + _pairs(ways[2], h + m)]
-            heads = _pairs(heads, ways[0] + ways[2])
-            if joins:
-                joined = _pairs(joined, ways[0] + ways[1] + ways[2])
-        return heads, joined
-
     out = [()]
     for bi, b in enumerate(tree):
         for ni, (_, kids) in enumerate(b):
-            h, _ = grow(((bi, ni),), kids, False)
+            h, _ = _grow_pieces(((bi, ni),), kids, False)
             out = [p + rest + (frozenset(own),) for p in out for own, rest in h]
     return [list(p) for p in out]
+
+
+def _grow_pieces(ref: VertexRef, kids, joins: bool):
+    """The partitions of the subtree at `ref`, each a pair (refs of the
+    piece that holds `ref`, the other pieces): first where `ref` heads its
+    piece, then, if `joins`, where it joins its parent's."""
+    heads = [((ref,), ())]
+    joined = heads if joins else []
+    for bi, b in enumerate(kids):
+        # ways[j]: choices for the block so far with j of its vertices in
+        # this piece, j = 2 standing for two or more
+        ways: list[list] = [[((), ())], [], []]
+        for ni, (_, sub) in enumerate(b):
+            h, m = _grow_pieces(ref + ((bi, ni),), sub, joins or len(b) > 1)
+            h = [((), rest + (frozenset(own),)) for own, rest in h]
+            ways = [_pairs(ways[0], h),
+                    _pairs(ways[0], m) + _pairs(ways[1], h),
+                    _pairs(ways[1], m) + _pairs(ways[2], h + m)]
+        heads = _pairs(heads, ways[0] + ways[2])
+        if joins:
+            joined = _pairs(joined, ways[0] + ways[1] + ways[2])
+    return heads, joined
 
 
 def _pairs(xs: list, ys: list) -> list:
@@ -553,10 +554,15 @@ def contract(tree: PForest, partition: list[frozenset]) -> PForest:
         else:
             children[par].append(i)
 
-    def build(i: int) -> Node:
-        return ((0, labels[i]), tuple((build(j),) for j in children[i]))
+    return canonicalize(tuple((_piece_node(i, labels, children),)
+                              for i in top))
 
-    return canonicalize(tuple((build(i),) for i in top))
+
+def _piece_node(i: int, labels: list, children: dict) -> Node:
+    """Piece i of a contraction as a vertex, the pieces under it as its
+    singleton child blocks."""
+    return ((0, labels[i]), tuple((_piece_node(j, labels, children),)
+                                  for j in children[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +592,22 @@ def _multisets(items: list, sizes: list[int], total: int):
         for i in range(n - 1, -1, -1):
             row[i] = i if sizes[i] <= t else row[i + 1]
         fits.append(row)
+    return _grow_multisets(items, sizes, fits, total, 0)
 
-    def grow(total: int, i: int):
-        if total == 0:
-            yield ()
-            return
-        row = fits[total]
-        i = row[i]
-        while i < n:
-            for rest in grow(total - sizes[i], i):
-                yield (items[i],) + rest
-            i = row[i + 1]
 
-    return grow(total, 0)
+def _grow_multisets(items: list, sizes: list[int], fits: list, total: int,
+                    i: int):
+    """The multisets of `_multisets` that sum to `total` and draw only
+    items from index i on."""
+    if total == 0:
+        yield ()
+        return
+    row = fits[total]
+    i = row[i]
+    while i < len(items):
+        for rest in _grow_multisets(items, sizes, fits, total - sizes[i], i):
+            yield (items[i],) + rest
+        i = row[i + 1]
 
 
 class _Enum:

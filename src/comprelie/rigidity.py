@@ -11,9 +11,9 @@ Pipeline, for a degree-truncated algebra A (bound N):
    the solve divides by it).  omega is a degree-preserving
    coalgebra morphism onto A (deconcatenation on the word side) and
    invertible on every slice; both are exposed as checks.
-3. ``eulerian_psi``: the convolution logarithm of the identity,
-   psi = sum (−1)^{m+1}/m · mul^{m−1} ∘ reduced-Δ^{m−1}.  It fixes
-   primitives and kills products of augmentation-ideal elements.
+3. ``TruncatedBialgebra.psi_k``: the convolution logarithm of the
+   identity, psi = sum (−1)^{m+1}/m · mul^{m−1} ∘ reduced-Δ^{m−1}.  It
+   fixes primitives and kills products of augmentation-ideal elements.
 4. ``HopfIso``: varpi = (length-1 component of omega⁻¹ ∘ psi),
    then F(x) = sum_m varpi^{⊗m}(reduced-Δ^{m−1}(x)) — the unique coalgebra
    morphism to the word side whose length-1 component is varpi.  F takes
@@ -36,11 +36,12 @@ Everything is exact rational arithmetic, and every linear-algebra step is
 one call into ``linalg``'s sparse elimination on dict rows: the primitives
 are a nullspace and g one solve per degree, with every primitive of the
 degree as a right-hand side, over equations in slice positions
-(``_system``); omega⁻¹ is one inverse per degree and set of words, kept as
-a key -> word table and applied with ``mat_vec``, and varpi asks only for
-the columns of its letters, so one elimination per degree carries one
-extra column per letter instead of one per word; the iso checks rank the
-omega and F images, in reverse slice order, by the same forward pass.
+(``_system``); omega⁻¹ is asked only for the letter coordinates behind
+varpi, so one elimination per degree carries one extra column per letter
+instead of one per word, kept as a key -> letter table and applied with
+``mat_vec``.  omega's iso check reads the same table and ranks a slice
+only where it is missing; F's ranks the F images, in reverse slice
+order, by the same forward pass.
 Only the printed ``matrix`` methods build dense rows.  The checks return
 LawReport values through ``axioms.first_witness`` (same shape as the axiom
 sweeps), so a failed property names its witness.
@@ -154,21 +155,12 @@ def _over(keys: list, v: dict) -> LinComb:
     return LinComb((keys[j], c) for j, c in v.items())
 
 
-def _dense(x: LinComb, idx: dict) -> list[Fraction]:
+def _dense(x: LinComb, idx: dict) -> list:
     """x as a printed matrix row over the positions idx gives its keys."""
-    vec = [Fraction(0)] * len(idx)
+    vec = [0] * len(idx)
     for k, c in x.items():
         vec[idx[k]] += c
     return vec
-
-
-def _length1(x: LinComb) -> LinComb:
-    """The length-1 component of a LinComb over words, over letters."""
-    out = LinComb()
-    for w, c in x.items():
-        if len(w) == 1:
-            out.add_term(w[0], c)
-    return out
 
 
 def _iso_witness(images: list, ncols: int, rows: str,
@@ -181,12 +173,6 @@ def _iso_witness(images: list, ncols: int, rows: str,
     return None if r == ncols else f"rank {r} < {ncols}"
 
 
-def eulerian_psi(tb: TruncatedBialgebra, x: LinComb) -> LinComb:
-    """Convolution logarithm of the identity, applied to x: fixes
-    primitives, annihilates products of augmentation-ideal elements."""
-    return x.map_linear(tb.psi_k)
-
-
 # ---------------------------------------------------------------------------
 # omega: tensor words of primitives -> A, by grafting.
 # ---------------------------------------------------------------------------
@@ -197,8 +183,7 @@ class Omega:
     Letters are strings "v{n}_{i}" naming the i-th degree-n primitive;
     a word's degree is the sum of its letters' degrees."""
 
-    def __init__(self, tb: TruncatedBialgebra,
-                 g: Optional[Callable] = None):
+    def __init__(self, tb: TruncatedBialgebra):
         self.tb = tb
         self.letters: list[str] = []
         self.letter_prim: dict[str, LinComb] = {}
@@ -209,11 +194,10 @@ class Omega:
                 self.letters.append(name)
                 self.letter_prim[name] = p
                 self.letter_deg[name] = n
-        self._g = ({name: g(self.letter_prim[name], self.letter_deg[name])
-                    for name in self.letters} if g else self._right_inverses())
+        self._g = self._right_inverses()
         self._words: dict[int, list[Word]] = {}
         self._omega: dict[Word, LinComb] = {}
-        self._inv: dict[tuple, dict] = {}
+        self._inv: dict[int, Optional[dict]] = {}
 
     def _f(self, x: LinComb) -> LinComb:
         return self.tb.prelie(x, unit(self.tb.alg.unit))
@@ -244,19 +228,9 @@ class Omega:
         """All letter words of total degree n, in letter order."""
         got = self._words.get(n)
         if got is None:
-            got = []
-
-            def rec(prefix: tuple, rem: int) -> None:
-                if rem == 0:
-                    got.append(prefix)
-                    return
-                for letter in self.letters:
-                    if self.letter_deg[letter] <= rem:
-                        rec(prefix + (letter,),
-                            rem - self.letter_deg[letter])
-
-            rec((), n)
-            self._words[n] = got
+            got = self._words[n] = [()] if n == 0 else [
+                (x,) + w for x in self.letters if self.letter_deg[x] <= n
+                for w in self.words(n - self.letter_deg[x])]
         return got
 
     def apply_word(self, w: Word) -> LinComb:
@@ -274,23 +248,28 @@ class Omega:
         idx = {k: i for i, k in enumerate(self.tb.slices[n])}
         return [_dense(self.apply_word(w), idx) for w in self.words(n)]
 
-    def inverse(self, y: LinComb, n: int,
-                words: Optional[tuple] = None) -> LinComb:
-        """Word expansion of a homogeneous degree-n element, or only its
-        part over `words` (a tuple of degree-n words) when given: just
-        those columns of the inverse are solved for."""
-        table = self._inv.get((n, words))
+    def inverse(self, y: LinComb, n: int) -> LinComb:
+        """The letter coordinates of omega⁻¹(y) for a homogeneous degree-n
+        y: the length-1 part of its word expansion, over letters.  Raises
+        ValueError where omega is not invertible on the slice."""
+        table = self._letter_table(n)
         if table is None:
-            keys, rows = self._image_rows(n)
-            every = self.words(n)
-            cols = None
-            if words is not None:
-                pos = {w: i for i, w in enumerate(every)}
-                cols = [pos[w] for w in words]
-            table = self._inv[(n, words)] = {
-                k: {every[i]: c for i, c in row.items()}
-                for k, row in zip(keys, invert(rows, cols))}
+            raise ValueError(f"omega is not invertible in degree {n}")
         return LinComb(mat_vec(table, y))
+
+    def _letter_table(self, n: int) -> Optional[dict]:
+        """{slice key: {letter: c}}, the letter columns of omega⁻¹ on the
+        degree-n slice from one elimination; None where the slice is not
+        square or omega is singular on it."""
+        if n not in self._inv:
+            keys, rows = self._image_rows(n)
+            words = self.words(n)
+            cols = [i for i, w in enumerate(words) if len(w) == 1]
+            inv = invert(rows, cols) if len(rows) == len(keys) else None
+            self._inv[n] = None if inv is None else {
+                k: {words[i][0]: c for i, c in row.items()}
+                for k, row in zip(keys, inv)}
+        return self._inv[n]
 
     def _image_rows(self, n: int) -> tuple[list, list[dict]]:
         """The degree-n slice in reverse order, and omega of each degree-n
@@ -309,10 +288,14 @@ class Omega:
     # -- checks --------------------------------------------------------------
 
     def check_iso(self) -> list[LawReport]:
-        """Per degree: as many words as slice elements, and full rank."""
-        return [LawReport("omega-iso", self.tb.alg.name, n, _iso_witness(
-                    self._image_rows(n)[1], len(self.tb.slices[n]),
-                    "words", "basis elements"))
+        """Per degree: as many words as slice elements, and full rank.  A
+        slice with a letter table passes; only a failing one is ranked,
+        for its witness."""
+        return [LawReport("omega-iso", self.tb.alg.name, n, None
+                          if self._letter_table(n) is not None else
+                          _iso_witness(self._image_rows(n)[1],
+                                       len(self.tb.slices[n]),
+                                       "words", "basis elements"))
                 for n in range(1, self.tb.N + 1)]
 
     def check_coalgebra(self) -> LawReport:
@@ -344,19 +327,12 @@ class HopfIso:
         self._F: dict = {}
 
     def varpi_k(self, k) -> LinComb:
-        """LinComb over letters: omega⁻¹ solved for the letter columns of
-        k's degree only."""
+        """LinComb over letters: the letter coordinates of omega⁻¹(psi(k))."""
         out = self._varpi.get(k)
         if out is None:
             y = self.tb.psi_k(k)  # zero on the unit
-            if y:
-                n, om = self.tb.deg[k], self.omega
-                letters = tuple((x,) for x in om.letters
-                                if om.letter_deg[x] == n)
-                out = _length1(om.inverse(y, n, letters))
-            else:
-                out = LinComb()
-            self._varpi[k] = out
+            out = self._varpi[k] = (self.omega.inverse(y, self.tb.deg[k])
+                                    if y else LinComb())
         return out
 
     def varpi(self, x: LinComb) -> LinComb:
@@ -411,11 +387,15 @@ class HopfIso:
     def check_projection(self) -> LawReport:
         """The length-1 component of F is varpi, and F sends the unit to
         the empty word."""
+        def fails(k):
+            length1 = LinComb((w[0], c) for w, c in self.F_k(k).items()
+                              if len(w) == 1)
+            return length1 != self.varpi_k(k)
+
         def witnesses():
             if self.F_k(self.tb.alg.unit) != unit(()):
                 yield "unit image"
-            yield from self._witnesses(
-                1, lambda k: _length1(self.F_k(k)) != self.varpi_k(k))
+            yield from self._witnesses(1, fails)
 
         return first_witness("hopf-projection", self.tb.alg.name, self.tb.N,
                              witnesses())

@@ -20,8 +20,9 @@ round; the tests compare the two.
   term at a time, gate the accumulation kernel of ``lincomb``;
 * ``iter_reduced``, the iterated reduced coproduct over m-tuples, and
   ``psi_reference``, ``varpi_reference`` and ``F_reference``, which sum
-  over its tuples (varpi through the whole inverse of omega), gate the
-  first-leg recursions and the letter columns of ``rigidity``;
+  over its tuples (varpi through ``omega_inverse_reference``, the whole
+  inverse of omega), gate the first-leg recursions and the letter columns
+  of ``rigidity``;
 * ``multisets_brute_force`` gates ``ptree._multisets``; ``with_counters``,
   every counter assignment 0..cap on a tree, gates the counterful
   enumeration (``cap``) of ``ptree.enum_partitioned`` and
@@ -50,6 +51,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from hypothesis import strategies as st
 
+from comprelie import linalg
 from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.oudom import Extension
 from comprelie.ptree import (
@@ -732,13 +734,27 @@ def psi_reference(tb, k) -> LinComb:
     return out
 
 
+def omega_inverse_reference(om, y, n: int) -> LinComb:
+    """The whole word expansion omega⁻¹(y) of a homogeneous degree-n y,
+    from every column of the inverse of omega's degree-n images."""
+    keys, rows = om._image_rows(n)
+    inv = dict(zip(keys, linalg.invert(rows)))
+    words = om.words(n)
+    out = LinComb()
+    for k, c in y.items():
+        for i, x in inv[k].items():
+            out.add_term(words[i], c * x)
+    return out
+
+
 def varpi_reference(iso, k) -> LinComb:
     """The length-1 part of the whole word expansion omega⁻¹(psi(k)), over
     letters."""
     y = psi_reference(iso.tb, k)
     out = LinComb()
     if y:
-        for w, c in iso.omega.inverse(y, iso.tb.deg[k]).items():
+        n = iso.tb.deg[k]
+        for w, c in omega_inverse_reference(iso.omega, y, n).items():
             if len(w) == 1:
                 out.add_term(w[0], c)
     return out

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from comprelie.dual import theta
+from comprelie.dual import psi_inverse, psi_map, theta
 from comprelie.ptree import (
     admissible_partitions, canonicalize, drop_counters, enum_partitioned,
     nvertices, parse, restrict, vertices,
@@ -136,6 +136,9 @@ CALLS = {
     "restrict": lambda: restrict(TREE, frozenset(
         ref for i, (ref, _) in enumerate(vertices(TREE)) if i % 2)),
     "drop_counters": lambda: drop_counters(TREE),
+    "theta": lambda: theta(drop_counters(TREE)),
+    "psi_map": lambda: psi_map(drop_counters(TREE)),
+    "psi_inverse": lambda: psi_inverse(drop_counters(TREE)),
 }
 
 

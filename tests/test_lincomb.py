@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from comprelie.lincomb import (
@@ -327,8 +326,7 @@ def test_sparse_kernel_matches_dense_reference(m, data):
             assert _product(linalg.invert(rows), m) == \
                 [[int(i == j) for j in range(ncols)] for i in range(ncols)]
         else:
-            with pytest.raises(AssertionError):
-                linalg.invert(rows)
+            assert linalg.invert(rows) is None
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -353,9 +351,8 @@ def test_invert_columns_are_columns_of_the_whole_inverse(m, dominant, data):
     rows = _rows(m)
     cols = data.draw(st.sets(st.integers(0, n - 1)))
     if len(dense_rref(m)[1]) < n:
-        for want in (None, cols):
-            with pytest.raises(AssertionError):
-                linalg.invert(rows, want)
+        assert linalg.invert(rows) is None
+        assert linalg.invert(rows, cols) is None
         return
     whole = linalg.invert(rows)
     assert linalg.invert(rows, cols) == [

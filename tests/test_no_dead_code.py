@@ -1,10 +1,11 @@
-"""Every top-level definition of the package is used somewhere, and every
-import is used by the module that makes it.
+"""Every top-level definition and method of the package is used somewhere,
+and every import is used by the module that makes it.
 
 A function, class or assigned name defined at the top level of a module
-under `src/comprelie` must appear as a code token (not in a comment or a
-string) on some line of `src/` or `tests/` outside its own definition and
-outside every import statement: a name that is only imported is not used.
+under `src/comprelie`, and a method (dunders aside) of a class defined
+there, must appear as a code token (not in a comment or a string) on some
+line of `src/` or `tests/` outside its own definition and outside every
+import statement: a name that is only imported is not used.
 A name a module under `src/comprelie` or `tests` imports must occur as a
 name in that module's code.
 """
@@ -35,10 +36,23 @@ def name_lines(root: Path) -> dict:
     return seen
 
 
+def _span(node) -> tuple[int, int]:
+    """First and last line of a definition, its decorators included."""
+    return (min([node.lineno]
+                + [d.lineno for d in getattr(node, "decorator_list", [])]),
+            node.end_lineno)
+
+
 def top_level_definitions(path: Path):
     """(name, first line, last line) of each top-level def, class and
-    assigned name."""
+    assigned name, and (Class.method, ...) of each method of a top-level
+    class that is not a dunder."""
     for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if (isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not m.name.startswith("__")):
+                    yield f"{node.name}.{m.name}", *_span(m)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names = [node.name]
@@ -49,10 +63,8 @@ def top_level_definitions(path: Path):
             names = [node.target.id]
         else:
             continue
-        first = min([node.lineno]
-                    + [d.lineno for d in getattr(node, "decorator_list", [])])
         for name in names:
-            yield name, first, node.end_lineno
+            yield name, *_span(node)
 
 
 def unreferenced(root: Path) -> list[str]:
@@ -60,7 +72,7 @@ def unreferenced(root: Path) -> list[str]:
     dead = []
     for path in sorted((root / "src" / "comprelie").glob("*.py")):
         for name, first, last in top_level_definitions(path):
-            uses = [(p, ln) for p, ln in seen[name]
+            uses = [(p, ln) for p, ln in seen[name.split(".")[-1]]
                     if p != path or not first <= ln <= last]
             if not uses and name not in ALLOWED:
                 dead.append(f"{path.stem}.{name}")
@@ -103,6 +115,23 @@ def test_the_guard_sees_a_dead_helper(tmp_path):
     (tmp_path / "tests" / "test_m.py").write_text(
         "from m import X\n\nassert X == 1\n")
     assert unreferenced(tmp_path) == ["m.dead"]
+
+
+def test_the_guard_sees_a_dead_method(tmp_path):
+    pkg = tmp_path / "src" / "comprelie"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (pkg / "m.py").write_text(
+        "class C:\n"
+        "    def __init__(self):\n        self.x = self.used()\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    @staticmethod\n"
+        "    def dead():\n        return C.dead()  # dead\n\n"
+        "    def tested(self):\n        return 2\n")
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from m import C\n\n\n"
+        "def test_tested():\n    assert C().tested() == 2\n")
+    assert unreferenced(tmp_path) == ["m.C.dead"]
 
 
 def test_the_guard_does_not_count_an_import_as_a_use(tmp_path):

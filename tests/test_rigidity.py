@@ -18,10 +18,12 @@ from comprelie.rigidity import (
     Omega,
     TruncatedBialgebra,
     cofree_obstruction,
-    eulerian_psi,
     primitive_basis,
 )
-from oracles import F_reference, iter_reduced, psi_reference, varpi_reference
+from oracles import (
+    F_reference, iter_reduced, omega_inverse_reference, psi_reference,
+    varpi_reference,
+)
 
 P = parse
 TUN = P("{[d]}")
@@ -91,7 +93,7 @@ def test_psi_fixes_primitives():
     for tb in (tb_cp(), tb_hck()):
         for n in range(1, 5):
             for p in primitive_basis(tb, n):
-                assert eulerian_psi(tb, p) == p
+                assert p.map_linear(tb.psi_k) == p
 
 
 def test_psi_kills_products():
@@ -100,15 +102,15 @@ def test_psi_kills_products():
             for db in range(1, 5 - da):
                 for a in tb.slices[da]:
                     for b in tb.slices[db]:
-                        assert eulerian_psi(tb, tb.mul_k(a, b)).is_zero()
+                        assert tb.mul_k(a, b).map_linear(tb.psi_k).is_zero()
 
 
 def test_psi_golden_values():
     tb = tb_hck()
-    assert eulerian_psi(tb, unit(TUN)) == unit(TUN)
-    assert eulerian_psi(tb, unit(TDEUX)) == \
+    assert tb.psi_k(TUN) == unit(TUN)
+    assert tb.psi_k(TDEUX) == \
         unit(TDEUX) - unit(P("{[d],[d]}")).scale(Fraction(1, 2))
-    assert eulerian_psi(tb, unit(tb.alg.unit)).is_zero()
+    assert tb.psi_k(tb.alg.unit).is_zero()
 
 
 def test_psi_idempotent():
@@ -116,7 +118,7 @@ def test_psi_idempotent():
         for n in range(5):
             for k in tb.slices[n]:
                 y = tb.psi_k(k)
-                assert eulerian_psi(tb, y) == y
+                assert y.map_linear(tb.psi_k) == y
 
 
 @pytest.mark.xfail(
@@ -124,7 +126,7 @@ def test_psi_idempotent():
            "three-vertex corolla is a counterexample", strict=True)
 def test_psi_image_primitive():
     tb = tb_hck()
-    y = eulerian_psi(tb, unit(CHERRY))
+    y = tb.psi_k(CHERRY)
     assert y.map_linear(tb.reduced_k).is_zero()
 
 
@@ -166,7 +168,19 @@ def test_omega_inverse_roundtrip():
     om = Omega(tb)
     for n in range(1, 5):
         for k in tb.slices[n]:
-            assert om.inverse(unit(k), n).map_linear(om.apply_word) == unit(k)
+            assert omega_inverse_reference(om, unit(k), n).map_linear(
+                om.apply_word) == unit(k)
+
+
+@pytest.mark.parametrize("make", [tb_cp, tb_hck])
+def test_omega_inverse_is_the_letter_coordinates(make):
+    # omega⁻¹(omega(w)) is the word w, whose letter coordinates are the
+    # letter itself for a one-letter word and nothing for a longer one
+    om = Omega(make())
+    for n in range(1, 5):
+        for w in om.words(n):
+            got = om.inverse(om.apply_word(w), n)
+            assert got == (unit(w[0]) if len(w) == 1 else LinComb()), w
 
 
 def test_omega_general_right_inverse():
@@ -263,14 +277,24 @@ def _failures(reports):
     return [r.line() for r in reports if not r.ok]
 
 
-def test_omega_iso_failure_witness():
+def _singular_in_degree_2():
     # a right inverse that kills the degree-2 letters makes omega singular
-    tb = tb_cp(3)
-    om = Omega(tb, g=lambda p, n: LinComb() if n == 2
-               else p.scale(Fraction(1, n)))
+    om = Omega(tb_cp(3))
+    for x in om.letters:
+        if om.letter_deg[x] == 2:
+            om._g[x] = LinComb()
+    return om
+
+
+def test_omega_iso_failure_witness():
+    om = _singular_in_degree_2()
     assert _failures(om.check_iso()) == [
         "omega-iso cp 2 FAIL rank 1 < 2", "omega-iso cp 3 FAIL rank 3 < 5"]
     assert om.check_coalgebra().ok
+    # and omega⁻¹ refuses the singular slice, not the others
+    assert om.inverse(unit(TUN), 1) == unit("v1_0")
+    with pytest.raises(ValueError, match="degree 2"):
+        om.inverse(unit(TDEUX), 2)
     # a dropped letter leaves fewer words than basis elements
     om = Omega(tb_cp(3))
     om.letters.pop()
@@ -281,9 +305,8 @@ def test_omega_iso_failure_witness():
 def test_omega_coalgebra_failure_witness():
     # adding a product to g(v2_0) makes omega(v2_0) non-primitive
     tb = tb_cp(3)
-    prod = P("{[d,d]}")
-    om = Omega(tb, g=lambda p, n: p.scale(Fraction(1, n))
-               + (unit(prod) if n == 2 else LinComb()))
+    om = Omega(tb)
+    om._g["v2_0"] = om._g["v2_0"] + unit(P("{[d,d]}"))
     assert _failures(HopfIso(tb, om).run_checks()) == [
         "omega-coalgebra cp 3 FAIL w=v2_0",
         "varpi-primitives cp 3 FAIL letter=v2_0",
@@ -293,7 +316,9 @@ def test_omega_coalgebra_failure_witness():
 def test_varpi_primitives_failure_witness():
     # g = the primitive itself is a right inverse only in degree 1
     tb = tb_cp(3)
-    iso = HopfIso(tb, Omega(tb, g=lambda p, n: p))
+    om = Omega(tb)
+    om._g.update(om.letter_prim)
+    iso = HopfIso(tb, om)
     assert _failures(iso.run_checks()) == [
         "varpi-primitives cp 3 FAIL letter=v2_0"]
 
@@ -310,20 +335,51 @@ def test_hopf_iso_failure_witness():
     ]
 
 
-def test_failing_slice_is_ranked_once(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The row counts of the matrices rigidity passes to linalg's `name`."""
     from comprelie import rigidity
-    ranked = []
-    real_rank = rigidity.rank
+    seen = []
+    real = getattr(rigidity, name)
 
-    def counting_rank(m):
-        ranked.append(len(m))
-        return real_rank(m)
+    def counting(rows, *args):
+        seen.append(len(rows))
+        return real(rows, *args)
 
-    monkeypatch.setattr(rigidity, "rank", counting_rank)
+    monkeypatch.setattr(rigidity, name, counting)
+    return seen
+
+
+def test_failing_slice_is_ranked_once(monkeypatch):
+    ranked = _count_calls(monkeypatch, "rank")
     iso = HopfIso(tb_cp(3))
     iso._varpi[TUN] = LinComb()
     assert not any(r.ok for r in iso.check_iso())
     assert ranked == [1, 2, 5]
+
+
+def test_omega_ranks_only_failing_slices(monkeypatch):
+    ranked = _count_calls(monkeypatch, "rank")
+    assert all(r.ok for r in Omega(tb_cp(3)).check_iso())
+    assert ranked == []
+    om = _singular_in_degree_2()
+    assert _failures(om.check_iso()) == [
+        "omega-iso cp 2 FAIL rank 1 < 2", "omega-iso cp 3 FAIL rank 3 < 5"]
+    assert ranked == [2, 5]
+
+
+@pytest.mark.parametrize("argv, N", [
+    ("--algebra cp --maxdeg 4", 4), ("--algebra hck --maxdeg 5", 5),
+    ("--algebra cp --maxdeg 3 --labels 3", 3),
+])
+def test_a_passing_run_eliminates_each_omega_slice_once(monkeypatch, argv,
+                                                        N):
+    # the printed pipeline inverts each of omega's slices once, for varpi,
+    # and ranks only F's, one square slice per degree each
+    ranked = _count_calls(monkeypatch, "rank")
+    inverted = _count_calls(monkeypatch, "invert")
+    assert main(["rigidity", "iso"] + argv.split()) == 0
+    assert len(inverted) == N
+    assert ranked == inverted
 
 
 def test_hopf_multiplicative_failure_witness():
