@@ -408,8 +408,7 @@ def selftest_gaps(alg: AlgebraHandle, maxdeg: int = 3) -> list[str]:
 # --- tensor product of Com-PreLie algebras -----------------------------------
 
 def tensor_comprelie(a1: AlgebraHandle, a2: AlgebraHandle,
-                     eps: Optional[Callable] = None,
-                     name: Optional[str] = None) -> AlgebraHandle:
+                     eps: Optional[Callable] = None) -> AlgebraHandle:
     """The Com-PreLie structure on pairs: componentwise commutative
     product, and the preLie product acting on the first slot plus an
     eps-weighted action on the second.  Requires eps(prelie(a, b)) ==
@@ -444,7 +443,7 @@ def tensor_comprelie(a1: AlgebraHandle, a2: AlgebraHandle,
             return a1.counit(p[0]) * a2.counit(p[1])
 
     return AlgebraHandle(
-        name=name or f"{a1.name}(x){a2.name}",
+        name=f"{a1.name}(x){a2.name}",
         basis=basis, mul=mul, prelie=prelie,
         unit=(a1.unit, a2.unit), key_str=key_str, counit=counit)
 

@@ -19,19 +19,20 @@ around the sign).  Tree keys use the `{[d:k([e],[f])]}` grammar, word keys
 are dot-separated letters with `eps` for the empty word.
 
 Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
-unparseable input (including negative degree-like flags, count-like flags
-out of range: --labels, --samples or --jobs below 1, --cap below 0, an
---alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a repeated
-letter, a word with a letter outside its algebra's alphabet, and a tree
-outside its algebra's basis shapes),
+unparseable input (including negative size flags, a COMPRELIE_MAXDEG
+that is not a nonnegative integer, --labels, --samples or --jobs below 1,
+an --alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a
+repeated letter, a word with a letter outside its algebra's alphabet, and
+a tree outside its algebra's basis shapes),
 3 resource bound exceeded (including input nested too deeply for the
 recursion limit), 141 (128 + SIGPIPE, what a shell reports for a process
 that SIGPIPE ends) when the reader closes stdout before the output is
 written, as `| head` does; the rest of the output is dropped without a
 traceback.
-Degree-like flags above 5 need --force; the COMPRELIE_MAXDEG environment
-variable (default 7) is a hard ceiling.  Identical invocations produce
-byte-identical output.
+Size flags (degrees, --n, the word length, the label count and --cap)
+above 5 need --force; the COMPRELIE_MAXDEG environment variable (default
+7) is a hard ceiling, and the only bound of `rigidity obstruction`, which
+has no --force.  Identical invocations produce byte-identical output.
 """
 
 import argparse
@@ -49,7 +50,7 @@ from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
 from .ptree import (LABEL_RE, ParseError, enum_one_rooted, enum_partitioned,
                     enum_plain_forests, enum_plain_trees, is_partitioned_tree,
                     parse, serialize)
-from .rigidity import HopfIso, Omega, TruncatedBialgebra, cofree_obstruction
+from .rigidity import HopfIso, TruncatedBialgebra, cofree_obstruction
 from .shuffle import fmt_word, parse_word
 from .ucp import cm_delta_closed, cm_x, delta_perm, kernel_delta_dim
 
@@ -65,13 +66,16 @@ class ResourceBound(Exception):
     """A degree flag exceeds its bound (exit 3)."""
 
 
-def guard(value: int, force: bool, what: str = "degree") -> None:
-    """Refuse negative degree-like values (bad input), and values beyond
-    the soft bound (without --force) or beyond the COMPRELIE_MAXDEG hard
-    ceiling (always)."""
+def guard(value: int, force: bool, what: str) -> None:
+    """Refuse negative size values (bad input), and values beyond the soft
+    bound (without --force) or beyond the COMPRELIE_MAXDEG hard ceiling
+    (always)."""
     if value < 0:
         raise CliError(f"{what} must be nonnegative, got {value}")
-    cap = int(os.environ.get("COMPRELIE_MAXDEG", "7"))
+    raw = os.environ.get("COMPRELIE_MAXDEG", "7")
+    if not raw.isdecimal():
+        raise CliError(f"COMPRELIE_MAXDEG={raw!r} is not a nonnegative integer")
+    cap = int(raw)
     if value > cap:
         raise ResourceBound(
             f"{what} {value} exceeds COMPRELIE_MAXDEG={cap}")
@@ -88,11 +92,12 @@ def at_least(value: int, low: int, what: str) -> int:
     return value
 
 
-def labels_from(args) -> tuple:
+def labels_from(args, force: bool) -> tuple:
     """--alphabet a,b,c wins and must name distinct [A-Za-z0-9_]+ letters
     (blank parts dropped); else --labels k (at least 1) means d1..dk."""
     if args.alphabet is None:
         k = at_least(args.labels, 1, "--labels")
+        guard(k, force, "--labels")
         return tuple(f"d{i}" for i in range(1, k + 1))
     labels = tuple(p.strip() for p in args.alphabet.split(",") if p.strip())
     if not labels:
@@ -103,6 +108,7 @@ def labels_from(args) -> tuple:
                            "[A-Za-z0-9_]+")
     if len(set(labels)) < len(labels):
         raise CliError(f"--alphabet {args.alphabet!r} repeats a letter")
+    guard(len(labels), force, "--alphabet size")
     return labels
 
 
@@ -144,7 +150,7 @@ _ENUMERATORS = {
 
 def cmd_enum(args) -> int:
     guard(args.n, args.force, "--n")
-    items = _ENUMERATORS[args.mode](args.n, labels_from(args))
+    items = _ENUMERATORS[args.mode](args.n, labels_from(args, args.force))
     lines = sorted(serialize(t) for t in items)
     if lines:
         # One write: under PYTHONUNBUFFERED a print per line is two
@@ -183,7 +189,7 @@ def cmd_delta(args) -> int:
 
 def cmd_kerdelta(args) -> int:
     guard(args.degree, args.force, "--degree")
-    print(kernel_delta_dim(args.degree, labels_from(args)))
+    print(kernel_delta_dim(args.degree, labels_from(args, args.force)))
     return 0
 
 
@@ -229,10 +235,10 @@ def cmd_psi(args) -> int:
 
 def cmd_rigidity_iso(args) -> int:
     guard(args.maxdeg, args.force, "--maxdeg")
-    alg = get_handle(args.algebra, labels=labels_from(args))
+    alg = get_handle(args.algebra, labels=labels_from(args, args.force))
     tb = TruncatedBialgebra(alg, args.maxdeg)
-    om = Omega(tb)
-    iso = HopfIso(tb, om)
+    iso = HopfIso(tb)
+    om = iso.omega
     for n in range(1, args.maxdeg + 1):
         print(f"degree {n}")
         print("words: " + " ".join(fmt_word(w) for w in om.words(n)))
@@ -255,8 +261,9 @@ def _fmt_row(row) -> str:
 
 
 def cmd_rigidity_obstruction(args) -> int:
-    sol = cofree_obstruction(labels_from(args),
-                             counter_cap=at_least(args.cap, 0, "--cap"))
+    # Degree 2 only, so no --force: COMPRELIE_MAXDEG alone bounds it.
+    guard(args.cap, True, "--cap")
+    sol = cofree_obstruction(labels_from(args, True), counter_cap=args.cap)
     if sol is None:
         print("infeasible")
     else:
@@ -274,7 +281,7 @@ def cmd_check(args) -> int:
     guard(args.maxdeg, args.force, "--maxdeg")
     at_least(args.samples, 1, "--samples")
     names = list(HANDLE_NAMES) if args.algebra == "all" else [args.algebra]
-    labels = labels_from(args)
+    labels = labels_from(args, args.force)
     alphabet = labels if args.alphabet else None
     abc = (tuple(parse_scalar(p) for p in args.abc.split(","))
            if args.abc else None)

@@ -22,15 +22,15 @@ operators all sum through one accumulation kernel, ``_acc(out, coeff,
 other)``: out += coeff * other, one pass over other's terms with no
 per-term method call (``LinComb.add_term`` is for callers that add one
 term at a time).  It relies on the invariant every LinComb keeps: no zero
-coefficient and no ``None`` key is ever stored, and an operand is never
-mutated (every operator returns a fresh object).  So a key new to out
-takes the scaled term as it is, with no ``0 + c`` and no zero test (Q has
-no zero divisors); ``coeff == 1`` skips the multiply, so no ``1 *
-Fraction`` is ever formed; and a copy into an empty out is one
-``dict.update``, a copy of the operand, never the operand itself.  Raw
-(key, coefficient) pairs, which may hold zeros, ``None`` keys and
-repeats, are filtered once on their way into a LinComb.  ``tensor`` sums
-nothing: its product keys are distinct, so it writes them directly.
+coefficient is ever stored, and an operand is never mutated (every
+operator returns a fresh object).  So a key new to out takes the scaled
+term as it is, with no ``0 + c`` and no zero test (Q has no zero
+divisors); ``coeff == 1`` skips the multiply, so no ``1 * Fraction`` is
+ever formed; and a copy into an empty out is one ``dict.update``, a copy
+of the operand, never the operand itself.  Raw (key, coefficient) pairs,
+which may hold zeros and repeats, are filtered once on their way into a
+LinComb.  ``tensor`` sums nothing: its product keys are distinct, so it
+writes them directly.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def _acc(out: dict, coeff, other) -> None:
     """out += coeff * other, in place, dropping the sums that cancel.
 
     other is a mapping or an iterable of (key, coefficient) pairs, with no
-    zero coefficient and no None key (repeated pairs add up); it is only
-    read, so it must not be out itself."""
+    zero coefficient (repeated pairs add up); it is only read, so it must
+    not be out itself."""
     if coeff == 1:
         coeff = None
     elif not coeff:
@@ -85,15 +85,15 @@ class LinComb(dict):
         if not isinstance(data, LinComb):
             if isinstance(data, dict):
                 data = data.items()
-            data = ((k, c) for k, c in data if k is not None and c)
+            data = ((k, c) for k, c in data if c)
         _acc(self, 1, data)
 
     def __getitem__(self, key):
         return self.get(key, 0)
 
     def add_term(self, key, coeff) -> None:
-        """self += coeff * key, pruning zeros.  key=None is absorbed (drops)."""
-        if key is None or not coeff:
+        """self += coeff * key, pruning zeros."""
+        if not coeff:
             return
         old = self.get(key)
         if old is None:
@@ -136,7 +136,7 @@ class LinComb(dict):
         return not self
 
     def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
-        """Apply a key-to-key map (f may return None to drop a term)."""
+        """Apply a key-to-key map."""
         return LinComb((f(k), c) for k, c in self.items())
 
     def map_linear(self, f: Callable[[Hashable], "LinComb"]) -> "LinComb":
@@ -153,8 +153,7 @@ class LinComb(dict):
 def unit(key) -> LinComb:
     """The LinComb 1*key."""
     out = LinComb()
-    if key is not None:
-        out[key] = 1
+    out[key] = 1
     return out
 
 

@@ -260,7 +260,7 @@ def mul_disjoint(a: PForest, b: PForest) -> PForest:
     return canonicalize(a + b)
 
 
-def build_root(label: str, trees: tuple, counter: int = 0) -> PForest:
+def build_root(label: str, trees: tuple) -> PForest:
     """One new root over the given partitioned trees.
 
     Each nonempty argument tree contributes its root block as one child
@@ -270,14 +270,14 @@ def build_root(label: str, trees: tuple, counter: int = 0) -> PForest:
     for t in trees:
         for blk in t:
             blocks.append(blk)
-    root: Node = ((counter, label), tuple(blocks))
+    root: Node = ((0, label), tuple(blocks))
     return canonicalize(((root,),))
 
 
 # ---------------------------------------------------------------------------
 # Surgery: grafting and counter shifts at a ref in canonical coordinates,
-# giving canonical output (or None when a counter would go negative — the
-# Zero sentinel absorbed by LinComb).  `ucp` and `dual` sum over `grafts`.
+# giving canonical output.  `ucp` and `dual` sum over `grafts`, which skips
+# a vertex whose counter the shift would take below zero: the graft is zero.
 # ---------------------------------------------------------------------------
 
 def _edit_at(blocks, ref: VertexRef, fn) -> PForest:
@@ -289,46 +289,39 @@ def _edit_at(blocks, ref: VertexRef, fn) -> PForest:
     return blocks[:bi] + (blk[:ni] + (new,) + blk[ni + 1:],) + blocks[bi + 1:]
 
 
-class _Negative(Exception):
-    pass
-
-
 def graft_shift(forest: PForest, ref: VertexRef, target, graft: PForest,
-                dk: int = 0) -> Optional[PForest]:
+                dk: int = 0) -> PForest:
     """Graft the roots of `graft` under the vertex at `ref`, and shift that
-    vertex's counter by dk, in one edit.
+    vertex's counter by dk, in one edit; dk must leave the counter
+    nonnegative.
 
     `target` is NEW_BLOCK to open a fresh child block, or the index of an
-    existing child block to join.  Returns None when the shifted counter
-    would be negative.  (Single edit + single canonicalization: refs become
-    stale once the result is sorted.)
+    existing child block to join.  (Single edit + single canonicalization:
+    refs become stale once the result is sorted.)
     """
     new_nodes = tuple(n for blk in graft for n in blk)
 
     def fn(nd: Node) -> Node:
         (k, d), blocks = nd
-        k += dk
-        if k < 0:
-            raise _Negative
         if new_nodes:
             if target == NEW_BLOCK:
                 blocks = blocks + (new_nodes,)
             else:
                 blocks = (blocks[:target] + (blocks[target] + new_nodes,)
                           + blocks[target + 1:])
-        return ((k, d), blocks)
+        return ((k + dk, d), blocks)
 
-    try:
-        return canonicalize(_edit_at(forest, ref, fn))
-    except _Negative:
-        return None
+    return canonicalize(_edit_at(forest, ref, fn))
 
 
 def grafts(forest: PForest, graft: PForest, existing: bool = False,
-           dk: int = 0) -> Iterator[Optional[PForest]]:
-    """`graft_shift` at every vertex of `forest`: to a new child block, and
-    with `existing` also into each of the vertex's child blocks."""
-    for ref, (_, blocks) in vertices(forest):
+           dk: int = 0) -> Iterator[PForest]:
+    """`graft_shift` at every vertex of `forest` whose counter k keeps
+    k + dk >= 0: to a new child block, and with `existing` also into each
+    of the vertex's child blocks."""
+    for ref, ((k, _), blocks) in vertices(forest):
+        if k + dk < 0:
+            continue
         for target in [NEW_BLOCK, *range(len(blocks) if existing else 0)]:
             yield graft_shift(forest, ref, target, graft, dk)
 

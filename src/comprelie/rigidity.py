@@ -319,10 +319,9 @@ class HopfIso:
     morphism with that length-1 component: multiplicative into the shuffle
     product, invertible per slice."""
 
-    def __init__(self, tb: TruncatedBialgebra,
-                 omega: Optional[Omega] = None):
+    def __init__(self, tb: TruncatedBialgebra):
         self.tb = tb
-        self.omega = omega if omega is not None else Omega(tb)
+        self.omega = Omega(tb)
         self._varpi: dict = {}
         self._F: dict = {}
 

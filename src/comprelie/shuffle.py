@@ -154,29 +154,24 @@ def words_of_length(letters, n: int) -> list[Word]:
     return [tuple(w) for w in product(sorted(letters), repeat=n)]
 
 
-def _word_triples(varpi: Varpi, letters, scale: int,
-                  max_total: int | None):
-    """Word triples (u, v, w) by total length, then by the lengths of u and
-    v.  For homogeneous varpi of degree N only the total 1 - scale*N is
-    swept; otherwise every total up to max_total (default 4)."""
-    totals = ([1 - scale * varpi.degree] if varpi.degree is not None
-              else range((max_total or 4) + 1))
-    for total in totals:
-        for k in range(total + 1):
-            for l in range(total - k + 1):
-                yield from product(words_of_length(letters, k),
-                                   words_of_length(letters, l),
-                                   words_of_length(letters, total - k - l))
+def _word_triples(varpi: Varpi, letters, scale: int):
+    """Word triples (u, v, w) of total length 1 - scale*N, for varpi
+    homogeneous of degree N, by the lengths of u and v."""
+    total = 1 - scale * varpi.degree
+    for k in range(total + 1):
+        for l in range(total - k + 1):
+            yield from product(words_of_length(letters, k),
+                               words_of_length(letters, l),
+                               words_of_length(letters, total - k - l))
 
 
-def eq2_failures(varpi: Varpi, letters, max_total: int | None = None):
-    """Counterexamples to shuffle-compatibility of varpi.
-
-    For homogeneous varpi of degree N only total word length 1-N can fail;
-    otherwise all totals up to max_total are swept.  Yields (u, v, w,
-    difference) tuples; an empty sweep means the identity holds.
+def eq2_failures(varpi: Varpi, letters):
+    """Counterexamples to shuffle-compatibility of varpi, which must be
+    homogeneous: for degree N only total word length 1-N can fail, so only
+    that total is swept.  Yields (u, v, w, difference) tuples; an empty
+    sweep means the identity holds.
     """
-    for u, v, w in _word_triples(varpi, letters, 1, max_total):
+    for u, v, w in _word_triples(varpi, letters, 1):
         lhs = varpi.apply_lc(shuffle(u, v), unit(w))
         rhs = LinComb()
         if not u:
@@ -187,16 +182,15 @@ def eq2_failures(varpi: Varpi, letters, max_total: int | None = None):
             yield (u, v, w, lhs - rhs)
 
 
-def eq3_failures(varpi: Varpi, letters, max_total: int | None = None):
-    """Counterexamples to the letter-level preLie identity for varpi.
-
-    For homogeneous varpi of degree N only total length 1-2N can fail.
+def eq3_failures(varpi: Varpi, letters):
+    """Counterexamples to the letter-level preLie identity for varpi, which
+    must be homogeneous: for degree N only total length 1-2N can fail.
     """
     def side(x, y, z):
         return (varpi.apply_lc(bullet_varpi(varpi, x, y), unit(z))
                 - varpi.apply_lc(unit(x), bullet_varpi(varpi, y, z)))
 
-    for u, v, w in _word_triples(varpi, letters, 2, max_total):
+    for u, v, w in _word_triples(varpi, letters, 2):
         d = side(u, v, w) - side(u, w, v)
         if d:
             yield (u, v, w, d)

@@ -75,8 +75,8 @@ from comprelie.ucp import (
 # ---------------------------------------------------------------------------
 
 def add_term_reference(out: LinComb, key, coeff) -> None:
-    """out += coeff * key, pruning zeros; key=None drops."""
-    if key is None or coeff == 0:
+    """out += coeff * key, pruning zeros."""
+    if coeff == 0:
         return
     c = out.get(key, 0) + coeff
     if c == 0:
@@ -507,6 +507,8 @@ def diamond_loop(t: PForest, u: PForest, dk: int = 0) -> LinComb:
     if u == EMPTY:
         return out
     for ref, nd in vertices(t):
+        if nd[0][0] + dk < 0:
+            continue
         out.add_term(graft_shift(t, ref, NEW_BLOCK, u, dk), 1)
         for bi in range(len(nd[1])):
             out.add_term(graft_shift(t, ref, bi, u, dk), 1)

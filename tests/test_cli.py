@@ -282,6 +282,38 @@ def test_env_cap_beats_force(capsys, monkeypatch):
     assert "COMPRELIE_MAXDEG=4" in err
 
 
+def test_env_cap_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("COMPRELIE_MAXDEG", "x")
+    assert main(["kerdelta", "--degree", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: COMPRELIE_MAXDEG='x' is not a nonnegative integer\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "--n", "1", "--labels", "6"],
+    ["enum", "--n", "1", "--alphabet", "a,b,c,d,e,f"],
+    ["enum", "--n", "0", "--labels", "100000", "--force"],
+    ["rigidity", "obstruction", "--cap", "8"],
+    ["rigidity", "obstruction", "--labels", "8"],
+])
+def test_label_count_and_cap_are_guarded(capsys, monkeypatch, argv):
+    monkeypatch.delenv("COMPRELIE_MAXDEG", raising=False)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds" in captured.err
+
+
+def test_label_count_and_cap_within_bounds(capsys, monkeypatch):
+    monkeypatch.delenv("COMPRELIE_MAXDEG", raising=False)
+    assert main(["enum", "--n", "1", "--labels", "6", "--force"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    # obstruction has no --force: COMPRELIE_MAXDEG alone bounds it
+    assert main(["rigidity", "obstruction", "--cap", "6"]) == 0
+    assert main(["rigidity", "obstruction", "--labels", "7"]) == 0
+    capsys.readouterr()
+
+
 def test_parse_error_exits_2(capsys):
     assert main(["eval", "--algebra", "cp", "--op", "prelie",
                  "{[d", "{[e]}"]) == 2

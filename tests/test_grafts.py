@@ -5,9 +5,12 @@ from itertools import product
 
 import pytest
 
+from comprelie import ptree
 from comprelie.dual import delta_root, diamond, diamond_down
 from comprelie.handles import get_handle
-from comprelie.ptree import EMPTY, enum_one_rooted, enum_partitioned, serialize
+from comprelie.ptree import (
+    EMPTY, enum_one_rooted, enum_partitioned, parse, serialize, vertices,
+)
 from comprelie.ucp import cp_bullet, cp_bullet_with_map, hck_bullet, ucp_bullet
 
 from oracles import (
@@ -37,6 +40,35 @@ def test_grafting_product_matches_the_loop(name):
     for (m, t), (n, u) in product(keys, rights):
         if m + n <= 4:
             assert fast(t, u) == loop(t, u), (serialize(t), serialize(u))
+
+
+def test_zero_counter_vertices_are_skipped(monkeypatch):
+    # In diamond_down a graft at a vertex of counter zero is zero: `grafts`
+    # skips that vertex instead of building the graft.
+    calls = []
+    real = ptree.graft_shift
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ptree, "graft_shift", counted)
+    u = parse("{[d]}")
+    for n in range(1, 5):
+        for t in enum_one_rooted(n, D2):
+            assert not diamond_down(t, u), serialize(t)
+    assert calls == []
+    basis = get_handle("dual-ucp", labels=D2).basis
+    total = 0
+    for n in range(1, 5):
+        for t in basis(n):
+            calls.clear()
+            diamond_down(t, u)
+            want = sum(1 + len(blocks)
+                       for _, ((k, _), blocks) in vertices(t) if k > 0)
+            assert len(calls) == want, serialize(t)
+            total += want
+    assert total
 
 
 MAPS = {

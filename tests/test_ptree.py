@@ -324,7 +324,6 @@ def test_shift():
     refs = build_ref_map(t)
     assert serialize(graft_shift(t, refs["l"], NEW_BLOCK, EMPTY, 2)) \
         == "{[r([l:2])]}"
-    assert graft_shift(t, refs["l"], NEW_BLOCK, EMPTY, -1) is None
     t2 = parse("{[r:1([l])]}")
     refs2 = build_ref_map(t2)
     assert serialize(graft_shift(t2, refs2["r:1"], NEW_BLOCK, EMPTY, -1)) \

@@ -304,10 +304,10 @@ def test_omega_iso_failure_witness():
 
 def test_omega_coalgebra_failure_witness():
     # adding a product to g(v2_0) makes omega(v2_0) non-primitive
-    tb = tb_cp(3)
-    om = Omega(tb)
-    om._g["v2_0"] = om._g["v2_0"] + unit(P("{[d,d]}"))
-    assert _failures(HopfIso(tb, om).run_checks()) == [
+    iso = HopfIso(tb_cp(3))
+    g = iso.omega._g
+    g["v2_0"] = g["v2_0"] + unit(P("{[d,d]}"))
+    assert _failures(iso.run_checks()) == [
         "omega-coalgebra cp 3 FAIL w=v2_0",
         "varpi-primitives cp 3 FAIL letter=v2_0",
     ]
@@ -315,10 +315,8 @@ def test_omega_coalgebra_failure_witness():
 
 def test_varpi_primitives_failure_witness():
     # g = the primitive itself is a right inverse only in degree 1
-    tb = tb_cp(3)
-    om = Omega(tb)
-    om._g.update(om.letter_prim)
-    iso = HopfIso(tb, om)
+    iso = HopfIso(tb_cp(3))
+    iso.omega._g.update(iso.omega.letter_prim)
     assert _failures(iso.run_checks()) == [
         "varpi-primitives cp 3 FAIL letter=v2_0"]
 
