@@ -16,6 +16,9 @@ bialgebra product and satisfying, in Sweedler notation,
 Every structure is packaged as an :class:`AlgebraHandle`; the checks sweep
 basis tuples within a total-degree budget (``basis_tuples``, or random
 small combinations in sampled mode) and report the first counterexample.
+What applies is read off the handle: ``_LAWS`` names the pieces (product,
+coproduct, counit) each law needs, ``_CORRUPTIONS`` the piece each
+self-test corruption replaces, and every one whose pieces it has runs.
 Every law check in the package, here and in ``oudom`` and ``rigidity``, is
 a lazy stream of witness strings over its cases, and ``first_witness``
 turns it into a :class:`LawReport` by drawing at most one.  All arithmetic
@@ -230,15 +233,13 @@ def _eps_prelie(ops, x, y):
 
 # law name, arity, required handle pieces, defect function, and (optional)
 # a pair of argument slots whose swap negates the defect — for those, only
-# ordered basis tuples need sweeping.
-_COMPRELIE_LAWS = (
+# ordered basis tuples need sweeping.  The Com-PreLie laws come first, so
+# the bialgebra laws reuse the products they memoised.
+_LAWS = (
     ("commutativity", 2, ("mul",), _commutativity, (0, 1)),
     ("associativity", 3, ("mul",), _associativity, None),
     ("prelie", 3, (), _prelie_identity, (1, 2)),
     ("leibniz", 3, ("mul",), _leibniz, None),
-)
-
-_BIALGEBRA_LAWS = (
     ("coassociativity", 1, ("coproduct",), _coassociativity, None),
     ("counit", 1, ("coproduct", "counit"), _counit_law, None),
     ("multiplicativity", 2, ("coproduct", "mul"), _multiplicativity, None),
@@ -248,12 +249,12 @@ _BIALGEBRA_LAWS = (
 
 
 def _supported(alg: AlgebraHandle, needs) -> bool:
+    """The handle has every piece named in needs."""
     return all(getattr(alg, attr) is not None for attr in needs)
 
 
 def applicable_laws(alg: AlgebraHandle) -> list[str]:
-    return [law for law, _, needs, _, _ in _COMPRELIE_LAWS + _BIALGEBRA_LAWS
-            if _supported(alg, needs)]
+    return [law for law, _, needs, _, _ in _LAWS if _supported(alg, needs)]
 
 
 def _basis_slices(alg: AlgebraHandle, maxdeg: int) -> dict[int, list]:
@@ -289,8 +290,10 @@ def _sample_lincomb(rnd: random.Random, pool: list) -> LinComb:
     return out
 
 
-def _sweep(alg: AlgebraHandle, laws, maxdeg: int, mode: str,
-           seed: int, samples: int) -> list[LawReport]:
+def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
+            seed: int = 7, samples: int = 40) -> list[LawReport]:
+    """One report for every law whose pieces the handle has, in one sweep
+    over a shared memo table (``applicable_laws`` names the same laws)."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     ops = _Ops(alg)
@@ -315,87 +318,71 @@ def _sweep(alg: AlgebraHandle, laws, maxdeg: int, mode: str,
     stream = exhaustive if mode == "exhaustive" else sampled
     return [first_witness(law, alg.name, maxdeg,
                           stream(law, arity, defect, sym))
-            for law, arity, needs, defect, sym in laws
+            for law, arity, needs, defect, sym in _LAWS
             if _supported(alg, needs)]
-
-
-def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
-            seed: int = 7, samples: int = 40) -> list[LawReport]:
-    """The Com-PreLie laws, then the bialgebra laws when there is a
-    coproduct, in one sweep: the bialgebra laws reuse the products the
-    Com-PreLie laws memoised."""
-    laws = _COMPRELIE_LAWS
-    if alg.coproduct is not None:
-        laws += _BIALGEBRA_LAWS
-    return _sweep(alg, laws, maxdeg, mode, seed, samples)
 
 
 # --- deliberate corruptions: the self-test that the sweeps can fail ----------
 
-def corrupt(alg: AlgebraHandle, which: str) -> AlgebraHandle:
-    """Return a copy of the handle with one evaluator made deliberately
-    wrong.  Used to prove the harness actually rejects broken structures:
-    every law must fail under at least one of these."""
+def _skewed(base: Callable, alg: AlgebraHandle, pick: Callable) -> Callable:
+    """base plus unit(pick(a, b)) on the pairs whose first key's text sorts
+    first."""
     ks = alg.key_str
-    if which == "mul":
-        base = alg.mul
+    return lambda a, b: (base(a, b) + unit(pick(a, b)) if ks(a) < ks(b)
+                         else base(a, b))
 
-        def bad_mul(a, b):
-            out = base(a, b)
-            return out + unit(a) if ks(a) < ks(b) else out
 
-        return replace(alg, name=alg.name + "!mul", mul=bad_mul)
-    if which == "prelie":
-        base = alg.prelie
+def _dropped(base: Callable, alg: AlgebraHandle) -> Callable:
+    """base less its term of least key text, where it has two or more."""
+    def dropped(a, b):
+        out = base(a, b)
+        if len(out) >= 2:
+            out = LinComb(out)
+            del out[min(out, key=alg.key_str)]
+        return out
 
-        def bad_prelie(a, b):
-            out = base(a, b)
-            return out + unit(b) if ks(a) < ks(b) else out
+    return dropped
 
-        return replace(alg, name=alg.name + "!prelie", prelie=bad_prelie)
-    if which == "prelie-drop":
-        base = alg.prelie
 
-        def dropped(a, b):
-            out = base(a, b)
-            if len(out) >= 2:
-                out = LinComb(out)
-                del out[min(out, key=ks)]
-            return out
+def _marked(base: Callable, alg: AlgebraHandle) -> Callable:
+    """base plus one on the first degree-1 key."""
+    marked = alg.basis(1)[0]
+    return lambda a: base(a) + (1 if a == marked else 0)
 
-        return replace(alg, name=alg.name + "!prelie-drop", prelie=dropped)
-    if which == "coproduct":
-        base = alg.coproduct
 
-        def bad_cop(a):
-            return base(a) + unit((a, a))
+# corruption name -> (the handle piece it replaces, a builder of the wrong
+# version from that piece and the handle)
+_CORRUPTIONS = {
+    "mul": ("mul", lambda mul, alg: _skewed(mul, alg, lambda a, b: a)),
+    "prelie": ("prelie", lambda pl, alg: _skewed(pl, alg, lambda a, b: b)),
+    "prelie-drop": ("prelie", _dropped),
+    "coproduct": ("coproduct",
+                  lambda cop, alg: lambda a: cop(a) + unit((a, a))),
+    "counit": ("counit", _marked),
+}
 
-        return replace(alg, name=alg.name + "!coproduct", coproduct=bad_cop)
-    if which == "counit":
-        base = alg.counit
-        marked = alg.basis(1)[0]
 
-        def bad_counit(a):
-            return base(a) + (1 if a == marked else 0)
-
-        return replace(alg, name=alg.name + "!counit", counit=bad_counit)
-    raise ValueError(f"unknown corruption {which!r}")
+def corrupt(alg: AlgebraHandle, which: str) -> AlgebraHandle:
+    """Return a copy of the handle with the piece that corruption `which`
+    replaces (see ``_CORRUPTIONS``) made deliberately wrong.  Used to prove
+    the harness actually rejects broken structures: every law must fail
+    under at least one of these."""
+    if which not in _CORRUPTIONS:
+        raise ValueError(f"unknown corruption {which!r}")
+    piece, build = _CORRUPTIONS[which]
+    return replace(alg, name=f"{alg.name}!{which}",
+                   **{piece: build(getattr(alg, piece), alg)})
 
 
 def mutation_selftest(alg: AlgebraHandle, maxdeg: int = 3) -> dict[str, list[str]]:
-    """Run the sweeps on each corrupted variant of the handle; map the
-    corruption name to the laws it broke.  A healthy harness breaks every
-    applicable law at least once across the variants."""
-    out = {}
-    kinds = ["prelie", "prelie-drop"]
-    if alg.mul is not None:
-        kinds.insert(0, "mul")
-    if alg.coproduct is not None:
-        kinds += ["coproduct", "counit"]
-    for which in kinds:
-        out[which] = [r.law for r in run_all(corrupt(alg, which), maxdeg)
-                      if not r.ok]
-    return out
+    """Run the sweeps on each corrupted variant of the handle, one for
+    every corruption whose piece it has; map the corruption name to the
+    laws it broke.  A healthy harness breaks every applicable law at least
+    once across the variants."""
+    return {which: [r.law for r in run_all(corrupt(alg, which), maxdeg)
+                    if not r.ok]
+            for which, (piece, _) in _CORRUPTIONS.items()
+            if _supported(alg, (piece,))}
 
 
 def selftest_gaps(alg: AlgebraHandle, maxdeg: int = 3) -> list[str]:

@@ -37,16 +37,13 @@ has no --force.  Identical invocations produce byte-identical output.
 
 import argparse
 import os
-import re
 import sys
-from fractions import Fraction
-from typing import Callable
 
 from .axioms import all_pass, report_lines, run_all, selftest_gaps
 from .dual import diamond, diamond_down, psi_inverse, psi_map, theta
 from .handles import HANDLE_NAMES, get_handle
-from .lincomb import (LinComb, bilinear_extend, fmt_lincomb, fmt_scalar,
-                      fmt_tensor2, parse_scalar, unit)
+from .lincomb import (bilinear_extend, fmt_lincomb, fmt_scalar, fmt_tensor2,
+                      parse_lincomb, parse_scalar)
 from .ptree import (LABEL_RE, ParseError, enum_one_rooted, enum_partitioned,
                     enum_plain_forests, enum_plain_trees, is_partitioned_tree,
                     parse, serialize)
@@ -110,30 +107,6 @@ def labels_from(args, force: bool) -> tuple:
         raise CliError(f"--alphabet {args.alphabet!r} repeats a letter")
     guard(len(labels), force, "--alphabet size")
     return labels
-
-
-def parse_lincomb(text: str, parse_key: Callable) -> LinComb:
-    """Parse the output format back into a LinComb (`0` is the zero)."""
-    s = text.strip()
-    if s in ("", "0"):
-        return LinComb()
-    out = LinComb()
-    sign = Fraction(1)
-    for i, tok in enumerate(re.split(r" ([+-]) ", s)):
-        if i % 2:
-            sign = Fraction(1 if tok == "+" else -1)
-            continue
-        term = tok.strip()
-        if not term:
-            raise CliError(f"empty term in {text!r}")
-        coeff = sign
-        if "*" in term:
-            cs, term = term.split("*", 1)
-            coeff *= parse_scalar(cs)
-        elif term.startswith("-"):
-            coeff, term = -coeff, term[1:].strip()
-        out.iadd_scaled(coeff, unit(parse_key(term)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Ready-made AlgebraHandle instances for every structure in the package.
 
 Names understood by :func:`get_handle` (and the CLI), each with the
-:func:`get_handle` parameters its factory reads:
+:func:`get_handle` parameters its factory takes:
 
   ucp       (labels) partitioned trees with counters, graft-as-new-block
             product, counter-bump action of the unit, cutting coproduct
@@ -30,6 +30,7 @@ labels; a word handle's reads the words over its own alphabet.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -150,15 +151,15 @@ def dual_ucp_handle(labels=("d",), counter_cap: int = 1) -> AlgebraHandle:
         parse_key=_tree_keys("dual-ucp", is_one_rooted))
 
 
-# name -> (factory, the get_handle parameters it reads)
+# name -> factory (get_handle reads what it takes off its signature)
 _FACTORIES = {
-    "ucp": (ucp_handle, ("labels",)),
-    "cp": (cp_handle, ("labels",)),
-    "hck": (hck_handle, ("labels",)),
-    "tvf": (tvf_handle, ("alphabet",)),
-    "degneg1": (degneg1_handle, ("alphabet", "abc")),
-    "dual-cp": (dual_cp_handle, ("labels",)),
-    "dual-ucp": (dual_ucp_handle, ("labels",)),
+    "ucp": ucp_handle,
+    "cp": cp_handle,
+    "hck": hck_handle,
+    "tvf": tvf_handle,
+    "degneg1": degneg1_handle,
+    "dual-cp": dual_cp_handle,
+    "dual-ucp": dual_ucp_handle,
 }
 
 HANDLE_NAMES = tuple(_FACTORIES)
@@ -167,12 +168,15 @@ HANDLE_NAMES = tuple(_FACTORIES)
 def get_handle(name: str, labels=("d",), alphabet=None, abc=None,
                **kwargs) -> AlgebraHandle:
     """Build the named handle.  Its factory gets those of `labels`,
-    `alphabet` and `abc` it reads that are not None (a word handle ignores
-    `labels`, a tree handle `alphabet`), and every other keyword as is."""
+    `alphabet` and `abc` that are not None and that its signature names
+    (a word handle takes no `labels`, a tree handle no `alphabet`), and
+    every other keyword as is."""
     if name not in _FACTORIES:
         known = ", ".join(HANDLE_NAMES)
         raise KeyError(f"unknown algebra {name!r} (known: {known})")
-    factory, reads = _FACTORIES[name]
+    factory = _FACTORIES[name]
+    takes = inspect.signature(factory).parameters
     given = {"labels": labels, "alphabet": alphabet, "abc": abc}
-    kwargs.update((p, given[p]) for p in reads if given[p] is not None)
+    kwargs.update((p, v) for p, v in given.items()
+                  if v is not None and p in takes)
     return factory(**kwargs)

@@ -35,6 +35,7 @@ writes them directly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, Hashable
 
@@ -225,6 +226,32 @@ def fmt_lincomb(x: LinComb, key_str: Callable[[Hashable], str]) -> str:
         return "0"
     parts = sorted(((key_str(k), c) for k, c in x.items()), key=lambda t: t[0])
     return " + ".join("%s*%s" % (fmt_scalar(c), ks) for ks, c in parts)
+
+
+def parse_lincomb(text: str, parse_key: Callable[[str], Hashable]) -> LinComb:
+    """Parse the output format back into a LinComb (`0` is the zero);
+    raises ValueError on an empty term or a bad scalar, and passes on what
+    parse_key raises."""
+    s = text.strip()
+    if s in ("", "0"):
+        return LinComb()
+    out = LinComb()
+    sign = Fraction(1)
+    for i, tok in enumerate(re.split(r" ([+-]) ", s)):
+        if i % 2:
+            sign = Fraction(1 if tok == "+" else -1)
+            continue
+        term = tok.strip()
+        if not term:
+            raise ValueError(f"empty term in {text!r}")
+        coeff = sign
+        if "*" in term:
+            cs, term = term.split("*", 1)
+            coeff *= parse_scalar(cs)
+        elif term.startswith("-"):
+            coeff, term = -coeff, term[1:].strip()
+        out.iadd_scaled(coeff, unit(parse_key(term)))
+    return out
 
 
 def fmt_tensor2(t: LinComb, key_str: Callable[[Hashable], str]) -> str:

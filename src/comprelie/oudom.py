@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .axioms import AlgebraHandle, LawReport, first_witness
+from .axioms import AlgebraHandle, LawReport, _supported, first_witness
 from .lincomb import LinComb, bilinear_extend, tensor, unit
 
 SymWord = tuple  # sorted tuple of basis keys; () is the symmetric unit
@@ -227,7 +227,10 @@ def check_prop6(alg: AlgebraHandle, maxsize: int) -> list[LawReport]:
     * product rule: (a·b)•w splits as the sum over subword splittings
       w = w'⊔w'' of (a•w')·(b•w'');
     * coproduct rule: Δ(a•w) expands through Δ(a) and the factorwise
-      coproducts of w (skipped when the handle has no coproduct).
+      coproducts of w.
+
+    A rule is skipped where the handle lacks a piece it needs: both need
+    the product, and the coproduct rule the coproduct too.
     """
     ext = extension_for(alg)
     pool = _degree_pool(alg, 0, maxsize)
@@ -235,19 +238,19 @@ def check_prop6(alg: AlgebraHandle, maxsize: int) -> list[LawReport]:
     ks = alg.key_str
     pairs = [(a, b, da + db) for i, (a, da) in enumerate(pool)
              for b, db in pool[i:] if da + db <= maxsize]
-    reports = [first_witness(
-        "product-rule", alg.name, maxsize,
-        (f"a={ks(a)} b={ks(b)} w={fmt_symword(w, ks)}"
-         for a, b, d in pairs for w, dw in words if d + dw <= maxsize
-         and product_rule_defect(ext, alg.mul, a, b, list(w))))]
-    if alg.coproduct is not None:
-        reports.append(first_witness(
-            "coproduct-rule", alg.name, maxsize,
-            (f"a={ks(a)} w={fmt_symword(w, ks)}"
-             for a, da in pool for w, dw in words if da + dw <= maxsize
-             and coproduct_rule_defect(ext, alg.mul, alg.coproduct,
-                                       alg.unit, a, list(w)))))
-    return reports
+    rules = (  # name, the pieces it needs, its lazy stream of witnesses
+        ("product-rule", ("mul",),
+         (f"a={ks(a)} b={ks(b)} w={fmt_symword(w, ks)}"
+          for a, b, d in pairs for w, dw in words if d + dw <= maxsize
+          and product_rule_defect(ext, alg.mul, a, b, list(w)))),
+        ("coproduct-rule", ("mul", "coproduct"),
+         (f"a={ks(a)} w={fmt_symword(w, ks)}"
+          for a, da in pool for w, dw in words if da + dw <= maxsize
+          and coproduct_rule_defect(ext, alg.mul, alg.coproduct,
+                                    alg.unit, a, list(w)))),
+    )
+    return [first_witness(law, alg.name, maxsize, stream)
+            for law, needs, stream in rules if _supported(alg, needs)]
 
 
 def check_lemma7(alg: AlgebraHandle, maxk: int, maxl: int) -> LawReport:

@@ -30,7 +30,8 @@ on the associativity of the product; and F(k) = varpi(k) +
 Σ varpi(a) ⊗ F(b) over words, the same sum term for term.  Each key's
 chains and F image are computed once: the product and coproduct tables
 are ``axioms._Ops``'s, which ``TruncatedBialgebra`` extends, and chains,
-psi, varpi and F keep one table each, keyed by basis key.
+varpi and F keep one table each, keyed by basis key (varpi's holds what
+psi gave it, so psi keeps none).
 
 Everything is exact rational arithmetic, and every linear-algebra step is
 one call into ``linalg``'s sparse elimination on dict rows: the primitives
@@ -91,7 +92,6 @@ class TruncatedBialgebra(_Ops):
             raise ValueError(f"{alg.name} is not connected")
         self.deg = {k: n for n, ks in self.slices.items() for k in ks}
         self._chains: dict = {}
-        self._psi: dict = {}
         self._prim: dict = {}
 
     def reduced_k(self, k) -> LinComb:
@@ -117,12 +117,9 @@ class TruncatedBialgebra(_Ops):
         return out
 
     def psi_k(self, k) -> LinComb:
-        out = self._psi.get(k)
-        if out is None:
-            out = LinComb()
-            for m, chain in enumerate(self.chains(k), start=1):
-                out.iadd_scaled(Fraction((-1) ** (m + 1), m), chain)
-            self._psi[k] = out
+        out = LinComb()
+        for m, chain in enumerate(self.chains(k), start=1):
+            out.iadd_scaled(Fraction((-1) ** (m + 1), m), chain)
         return out
 
 
@@ -188,13 +185,16 @@ class Omega:
         self.letters: list[str] = []
         self.letter_prim: dict[str, LinComb] = {}
         self.letter_deg: dict[str, int] = {}
+        self._g: dict[str, LinComb] = {}
         for n in range(1, tb.N + 1):
-            for i, p in enumerate(primitive_basis(tb, n)):
+            prims = primitive_basis(tb, n)
+            for i, (p, g) in enumerate(zip(prims,
+                                           self._right_inverses(n, prims))):
                 name = f"v{n}_{i}"
                 self.letters.append(name)
                 self.letter_prim[name] = p
                 self.letter_deg[name] = n
-        self._g = self._right_inverses()
+                self._g[name] = g
         self._words: dict[int, list[Word]] = {}
         self._omega: dict[Word, LinComb] = {}
         self._inv: dict[int, Optional[dict]] = {}
@@ -202,26 +202,22 @@ class Omega:
     def _f(self, x: LinComb) -> LinComb:
         return self.tb.prelie(x, unit(self.tb.alg.unit))
 
-    def _right_inverses(self) -> dict[str, LinComb]:
-        """g for every letter: f(g) equal to the letter's primitive, a
-        solution of f's linear system on the slice with the free
-        coordinates pinned to zero.  One elimination per degree serves
-        every primitive of that degree, each as a right-hand side.  Where
-        f is n·id on the degree-n slice (the tree algebras), g is the
-        primitive over n."""
-        out = {}
-        for n in range(1, self.tb.N + 1):
-            names = [x for x in self.letters if self.letter_deg[x] == n]
-            if not names:
-                continue
-            keys = self.tb.slices[n]
-            rows, bs = _system([self._f(unit(k)) for k in keys],
-                               [self.letter_prim[x] for x in names])
-            for name, sol in zip(names, solve(rows, bs, len(keys))):
-                if sol is None:
-                    raise ValueError(
-                        f"f is not surjective onto primitives in degree {n}")
-                out[name] = _over(keys, sol)
+    def _right_inverses(self, n: int, prims: list) -> list[LinComb]:
+        """g for each degree-n primitive p: f(g) = p, a solution of f's
+        linear system on the slice with the free coordinates pinned to
+        zero.  One elimination serves every primitive of the degree, each
+        as a right-hand side.  Where f is n·id on the degree-n slice (the
+        tree algebras), g is the primitive over n."""
+        if not prims:
+            return []
+        keys = self.tb.slices[n]
+        rows, bs = _system([self._f(unit(k)) for k in keys], prims)
+        out = []
+        for sol in solve(rows, bs, len(keys)):
+            if sol is None:
+                raise ValueError(
+                    f"f is not surjective onto primitives in degree {n}")
+            out.append(_over(keys, sol))
         return out
 
     def words(self, n: int) -> list[Word]:

@@ -20,6 +20,7 @@ from comprelie.axioms import (
     selftest_gaps,
     tensor_comprelie,
 )
+from comprelie import handles
 from comprelie.handles import (
     HANDLE_NAMES,
     cp_handle,
@@ -107,6 +108,21 @@ def test_get_handle_unknown_name():
         "ucp", "cp", "hck", "tvf", "degneg1", "dual-cp", "dual-ucp"}
 
 
+def test_get_handle_reads_the_factory_signature(monkeypatch):
+    # a tree factory that gains `alphabet` is passed it, with no other
+    # table to update; a parameter left None is not passed
+    seen = []
+
+    def factory(labels=("d",), alphabet=("x",), f=None):
+        seen.append((labels, alphabet, f))
+        return cp_handle(labels)
+
+    monkeypatch.setitem(handles._FACTORIES, "cp", factory)
+    get_handle("cp", labels=("e",), alphabet=("p", "q"), abc=(1, 0, 0), f=3)
+    get_handle("cp")
+    assert seen == [(("e",), ("p", "q"), 3), (("d",), ("x",), None)]
+
+
 # --- report format -------------------------------------------------------------
 
 def test_report_lines_golden():
@@ -168,13 +184,28 @@ def test_basis_tuples_order():
 
 # --- the harness rejects broken structures -------------------------------------
 
-@pytest.mark.parametrize("name", ["cp", "hck", "tvf"])
+# tensor handles, by the pair of factors: they have a counit and no
+# coproduct, so eps-prelie is their one bialgebra law
+TENSORS = {"cp(x)cp": ("cp", "cp"), "cp(x)tvf": ("cp", "tvf"),
+           "hck(x)hck": ("hck", "hck")}
+EVERY_HANDLE = HANDLE_NAMES + tuple(TENSORS)
+
+
+def _handle(name):
+    if name in TENSORS:
+        return tensor_comprelie(*map(get_handle, TENSORS[name]))
+    return get_handle(name)
+
+
+@pytest.mark.parametrize("name", EVERY_HANDLE)
 def test_selftest_gaps_empty(name):
-    assert selftest_gaps(get_handle(name), 3) == []
+    assert selftest_gaps(_handle(name), 3) == []
 
 
-def test_selftest_gaps_empty_bare_prelie():
-    assert selftest_gaps(dual_ucp_handle(), 3) == []
+@pytest.mark.parametrize("name", EVERY_HANDLE)
+def test_run_all_sweeps_every_applicable_law(name):
+    h = _handle(name)
+    assert applicable_laws(h) == [r.law for r in run_all(h, 2)]
 
 
 def test_dropping_a_prelie_term_breaks_leibniz():
@@ -196,6 +227,16 @@ def test_mutation_selftest_shape():
     out = mutation_selftest(cp_handle(), 2)
     assert set(out) == {"mul", "prelie", "prelie-drop", "coproduct", "counit"}
     assert out["counit"]  # at least the counit law itself
+
+
+def test_mutation_selftest_runs_what_the_handle_has():
+    # a counit without a coproduct: the counit corruption runs and breaks
+    # eps-prelie; a bare preLie handle gets the two preLie corruptions
+    out = mutation_selftest(_handle("cp(x)cp"), 2)
+    assert list(out) == ["mul", "prelie", "prelie-drop", "counit"]
+    assert out["counit"] == ["eps-prelie"]
+    assert list(mutation_selftest(dual_ucp_handle(), 2)) == [
+        "prelie", "prelie-drop"]
 
 
 def test_corrupt_unknown_kind():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 from comprelie import cli
-from comprelie.cli import build_parser, main, parse_lincomb
+from comprelie.cli import build_parser, main
 from comprelie.handles import HANDLE_NAMES, get_handle
-from comprelie.lincomb import LinComb, fmt_lincomb, unit
+from comprelie.lincomb import LinComb, fmt_lincomb, parse_lincomb, unit
 from comprelie.ptree import parse, serialize
 from comprelie.shuffle import parse_word
 
@@ -229,6 +229,14 @@ def test_check_selftest(capsys):
                   "--selftest")
     assert rc == 0
     assert out.splitlines()[-1] == "selftest cp PASS"
+
+
+def test_check_selftest_every_algebra(capsys):
+    rc, out = run(capsys, "check", "--algebra", "all", "--maxdeg", "3",
+                  "--selftest")
+    assert rc == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("selftest")] == [
+        f"selftest {name} PASS" for name in HANDLE_NAMES]
 
 
 def test_check_sampled_mode(capsys):

@@ -15,7 +15,9 @@ from comprelie.oudom import (
     Extension, product_rule_defect, coproduct_rule_defect, absorb_defect,
     check_lemma7, check_prop6, extension_for, fmt_symword,
 )
-from comprelie.handles import cp_handle, hck_handle, ucp_handle
+from comprelie.handles import (
+    cp_handle, dual_cp_handle, dual_ucp_handle, hck_handle, ucp_handle,
+)
 
 P = parse
 
@@ -201,6 +203,13 @@ def test_check_prop6_passes():
         reports = check_prop6(alg, 3)
         assert [r.law for r in reports] == ["product-rule", "coproduct-rule"]
         assert all(r.ok for r in reports), [r.line() for r in reports]
+
+
+def test_check_prop6_skips_what_a_bare_prelie_handle_lacks():
+    # dual-ucp has no commutative product, so neither rule applies
+    assert check_prop6(dual_ucp_handle(), 2) == []
+    assert [r.law for r in check_prop6(dual_cp_handle(), 2)] == [
+        "product-rule"]
 
 
 def test_check_lemma7_passes():

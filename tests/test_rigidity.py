@@ -384,7 +384,8 @@ def test_hopf_multiplicative_failure_witness():
     # a psi that fixes the product {[d,d]} instead of killing it
     tb = tb_cp(3)
     prod = P("{[d,d]}")
-    tb._psi[prod] = unit(prod)
+    psi_k = tb.psi_k
+    tb.psi_k = lambda k: unit(prod) if k == prod else psi_k(k)
     assert _failures(HopfIso(tb).run_checks()) == [
         "varpi-primitives cp 3 FAIL letter=v2_0",
         "hopf-multiplicative cp 3 FAIL x={[d]} y={[d]}",
