@@ -15,7 +15,11 @@ bialgebra product and satisfying, in Sweedler notation,
 
 Every structure is packaged as an :class:`AlgebraHandle`; the checks sweep
 basis tuples within a total-degree budget (``basis_tuples``, or random
-small combinations in sampled mode) and report the first counterexample.
+small combinations in sampled mode) and report the first counterexample:
+a tuple whose law kernel, reading the memoised key-level products, sums a
+nonzero defect.  The exhaustive sweep of a law whose defect a swap of two
+slots negates skips the diagonal of that swap, where the defect is X - X
+by construction.
 What applies is read off the handle: ``_LAWS`` names the pieces (product,
 coproduct, counit) each law needs, ``_CORRUPTIONS`` the piece each
 self-test corruption replaces, and every one whose pieces it has runs.
@@ -42,13 +46,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .lincomb import (
-    LinComb, bilinear_extend, fmt_lincomb, tensor, tensor_apply2, unit,
+    LinComb, _acc, bilinear_extend, fmt_lincomb, tensor, tensor_apply2, unit,
 )
 
 
@@ -154,87 +159,108 @@ class _Ops:
         return sum(c * eps(k) for k, c in x.items())
 
 
-# --- law defects (zero iff the law holds on the given arguments) -------------
+# --- law kernels: law(ops, acc, c, *keys) adds c times the law's defect at a
+# tuple of basis keys into the LinComb acc; the law holds there iff the
+# defect is zero.  They read the key-level memo tables directly.  Every
+# defect is multilinear, so its value at LinCombs is the sum of its values
+# at their tuples of terms, weighted by the products of the coefficients.
 
-def _commutativity(ops, x, y):
-    return ops.mul(x, y) - ops.mul(y, x)
-
-
-def _associativity(ops, x, y, z):
-    return ops.mul(ops.mul(x, y), z) - ops.mul(x, ops.mul(y, z))
-
-
-def _prelie_identity(ops, x, y, z):
-    def assoc_defect(u, v, w):
-        return ops.prelie(ops.prelie(u, v), w) - ops.prelie(u, ops.prelie(v, w))
-
-    return assoc_defect(x, y, z) - assoc_defect(x, z, y)
+def _commutativity(ops, acc, c, x, y):
+    # x.y - y.x
+    _acc(acc, c, ops.mul_k(x, y))
+    _acc(acc, -c, ops.mul_k(y, x))
 
 
-def _leibniz(ops, x, y, z):
-    return (ops.prelie(ops.mul(x, y), z)
-            - ops.mul(ops.prelie(x, z), y)
-            - ops.mul(x, ops.prelie(y, z)))
+def _associativity(ops, acc, c, x, y, z):
+    # (x.y).z - x.(y.z)
+    mul = ops.mul_k
+    for k, ck in mul(x, y).items():
+        _acc(acc, c * ck, mul(k, z))
+    for k, ck in mul(y, z).items():
+        _acc(acc, -c * ck, mul(x, k))
 
 
-def _coassociativity(ops, x):
-    out = LinComb()
-    for (k1, k2), co in ops.cop(x).items():
-        for (a, b), ci in ops.cop_k(k1).items():
-            out.add_term((a, b, k2), co * ci)
-        for (a, b), ci in ops.cop_k(k2).items():
-            out.add_term((k1, a, b), -co * ci)
-    return out
+def _prelie_identity(ops, acc, c, x, y, z):
+    # (x•y)•z - x•(y•z), less the same with y and z swapped
+    pl = ops.prelie_k
+    for u, v, s in ((y, z, c), (z, y, -c)):
+        for k, ck in pl(x, u).items():
+            _acc(acc, s * ck, pl(k, v))
+        for k, ck in pl(u, v).items():
+            _acc(acc, -s * ck, pl(x, k))
 
 
-def _counit_law(ops, x):
+def _leibniz(ops, acc, c, x, y, z):
+    # (x.y)•z - (x•z).y - x.(y•z)
+    pl, mul = ops.prelie_k, ops.mul_k
+    for k, ck in mul(x, y).items():
+        _acc(acc, c * ck, pl(k, z))
+    for k, ck in pl(x, z).items():
+        _acc(acc, -c * ck, mul(k, y))
+    for k, ck in pl(y, z).items():
+        _acc(acc, -c * ck, mul(x, k))
+
+
+def _coassociativity(ops, acc, c, x):
+    # (D (x) Id) D x - (Id (x) D) D x
+    cop, add = ops.cop_k, acc.add_term
+    for (k1, k2), co in cop(x).items():
+        co *= c
+        for (a, b), ci in cop(k1).items():
+            add((a, b, k2), co * ci)
+        for (a, b), ci in cop(k2).items():
+            add((k1, a, b), -co * ci)
+
+
+def _counit_law(ops, acc, c, x):
+    # (eps (x) Id) D x - x and (Id (x) eps) D x - x, keyed apart by side
     eps = ops.alg.counit
-    left = LinComb()
-    right = LinComb()
-    for (k1, k2), c in ops.cop(x).items():
-        left.add_term(k2, c * eps(k1))
-        right.add_term(k1, c * eps(k2))
-    d = left - x
-    return d if d else right - x
+    for (k1, k2), ck in ops.cop_k(x).items():
+        acc.add_term((0, k2), c * ck * eps(k1))
+        acc.add_term((1, k1), c * ck * eps(k2))
+    _acc(acc, -c, {(0, x): 1, (1, x): 1})
 
 
-def _multiplicativity(ops, x, y):
-    lhs = ops.cop(ops.mul(x, y))
-    rhs = LinComb()
-    for (a1, a2), ca in ops.cop(x).items():
-        for (b1, b2), cb in ops.cop(y).items():
-            for k1, c1 in ops.mul_k(a1, b1).items():
-                for k2, c2 in ops.mul_k(a2, b2).items():
-                    rhs.add_term((k1, k2), ca * cb * c1 * c2)
-    return lhs - rhs
+def _coproduct_rule(ops, acc, c, first, x, y):
+    # D(first(x, y)) - first(x', y') (x) x''.y''
+    mul, cop, add = ops.mul_k, ops.cop_k, acc.add_term
+    for k, ck in first(x, y).items():
+        _acc(acc, c * ck, cop(k))
+    cy = cop(y).items()
+    for (a1, a2), ca in cop(x).items():
+        for (b1, b2), cb in cy:
+            f = first(a1, b1)
+            if f:  # no product of the second legs is needed
+                cab, m2 = -c * ca * cb, mul(a2, b2).items()
+                for k1, c1 in f.items():
+                    c1 *= cab
+                    for k2, c2 in m2:
+                        add((k1, k2), c1 * c2)
 
 
-def _compatibility(ops, x, y):
-    lhs = ops.cop(ops.prelie(x, y))
-    cx = ops.cop(x)
-    rhs = LinComb()
-    for (a1, a2), ca in cx.items():
-        for kb, cb in y.items():
-            for k, c in ops.prelie_k(a2, kb).items():
-                rhs.add_term((a1, k), ca * cb * c)
-    cy = ops.cop(y)
-    for (a1, a2), ca in cx.items():
-        for (b1, b2), cb in cy.items():
-            for k1, c1 in ops.prelie_k(a1, b1).items():
-                for k2, c2 in ops.mul_k(a2, b2).items():
-                    rhs.add_term((k1, k2), ca * cb * c1 * c2)
-    return lhs - rhs
+def _multiplicativity(ops, acc, c, x, y):
+    # D(x.y) - x'.y' (x) x''.y''
+    _coproduct_rule(ops, acc, c, ops.mul_k, x, y)
 
 
-def _eps_prelie(ops, x, y):
-    v = ops.counit(ops.prelie(x, y))
-    return LinComb() if v == 0 else LinComb([(("counit of prelie",), v)])
+def _compatibility(ops, acc, c, x, y):
+    # D(x•y) - x'•y' (x) x''.y'' - x' (x) x''•y
+    _coproduct_rule(ops, acc, c, ops.prelie_k, x, y)
+    for (a1, a2), ca in ops.cop_k(x).items():
+        for k, ck in ops.prelie_k(a2, y).items():
+            acc.add_term((a1, k), -c * ca * ck)
 
 
-# law name, arity, required handle pieces, defect function, and (optional)
-# a pair of argument slots whose swap negates the defect — for those, only
-# ordered basis tuples need sweeping.  The Com-PreLie laws come first, so
-# the bialgebra laws reuse the products they memoised.
+def _eps_prelie(ops, acc, c, x, y):
+    # the scalar eps(x•y), as the coefficient of the empty tensor
+    acc.add_term((), c * ops.counit(ops.prelie_k(x, y)))
+
+
+# law name, arity, required handle pieces, law kernel, and (optional) a pair
+# of argument slots whose swap negates the defect.  For those the defect at
+# equal keys in the two slots is X - X, zero by construction, so only
+# strictly ordered basis tuples need sweeping.  The Com-PreLie laws come
+# first, so the bialgebra laws reuse the products they memoised.
 _LAWS = (
     ("commutativity", 2, ("mul",), _commutativity, (0, 1)),
     ("associativity", 3, ("mul",), _associativity, None),
@@ -286,14 +312,19 @@ def _sample_lincomb(rnd: random.Random, pool: list) -> LinComb:
     out = LinComb()
     for _ in range(rnd.randint(1, 3)):
         out.add_term(pool[rnd.randrange(len(pool))],
-                     Fraction(rnd.choice((-2, -1, 1, 2))))
+                     rnd.choice((-2, -1, 1, 2)))
     return out
 
 
 def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
             seed: int = 7, samples: int = 40) -> list[LawReport]:
     """One report for every law whose pieces the handle has, in one sweep
-    over a shared memo table (``applicable_laws`` names the same laws)."""
+    over a shared memo table (``applicable_laws`` names the same laws).
+
+    A tuple fails when its defect, summed into one fresh LinComb, is
+    nonzero.  Exhaustive mode sweeps the basis tuples that a law's swap
+    orders strictly; sampled mode sums the law over the tuples of terms of
+    random small LinCombs."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     ops = _Ops(alg)
@@ -301,24 +332,30 @@ def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
     pool = [k for n in range(maxdeg + 1) for k in slices[n]]
     order = {k: i for i, k in enumerate(pool)}
 
-    def exhaustive(law, arity, defect, sym):
+    def exhaustive(law, arity, kernel, swap):
         def fails(*keys):
-            if sym and order[keys[sym[0]]] > order[keys[sym[1]]]:
+            if swap and order[keys[swap[0]]] >= order[keys[swap[1]]]:
                 return False
-            return defect(ops, *(unit(k) for k in keys))
+            acc = LinComb()
+            kernel(ops, acc, 1, *keys)
+            return acc
         return basis_witnesses(alg, slices, arity, maxdeg, fails)
 
-    def sampled(law, arity, defect, sym):
+    def sampled(law, arity, kernel, swap):
         rnd = random.Random(f"{seed}:{law}")
         for _ in range(samples):
             args = [_sample_lincomb(rnd, pool) for _ in range(arity)]
-            if defect(ops, *args):
+            acc = LinComb()
+            for terms in itertools.product(*(a.items() for a in args)):
+                kernel(ops, acc, math.prod(c for _, c in terms),
+                       *(k for k, _ in terms))
+            if acc:
                 yield _show(args, lambda a: fmt_lincomb(a, alg.key_str))
 
     stream = exhaustive if mode == "exhaustive" else sampled
     return [first_witness(law, alg.name, maxdeg,
-                          stream(law, arity, defect, sym))
-            for law, arity, needs, defect, sym in _LAWS
+                          stream(law, arity, kernel, swap))
+            for law, arity, needs, kernel, swap in _LAWS
             if _supported(alg, needs)]
 
 

@@ -14,8 +14,9 @@ Names understood by :func:`get_handle` (and the CLI), each with the
             preLie product built from an endomorphism of the letter space
             (default: the identity on {a, b}), deconcatenation coproduct
   degneg1   (alphabet, abc) words under shuffle with the length-decreasing
-            preLie product built from a letter product and bracket
-            (default: the three-letter family at a point where its
+            preLie product built from a letter product and bracket: the
+            three-parameter family laid onto an alphabet of exactly three
+            letters, in order (default: x, y, z, at a point where its
             identities close)
   dual-cp   (labels) partitioned trees with the graft-into-every-block
             product (the preLie product dual to block removal)
@@ -127,7 +128,10 @@ def tvf_handle(f=None, alphabet=("a", "b")) -> AlgebraHandle:
 
 def degneg1_handle(abc=(Fraction(1, 2),) * 3,
                    alphabet=("x", "y", "z")) -> AlgebraHandle:
-    star, bracket = hyperboloid_products(*abc)
+    if len(alphabet) != 3:
+        raise ValueError(f"degneg1 needs an alphabet of 3 letters, "
+                         f"got {len(alphabet)}")
+    star, bracket = hyperboloid_products(*abc, letters=alphabet)
     return AlgebraHandle(
         name="degneg1", basis=lambda n: words_of_length(alphabet, n),
         prelie=lambda u, v: bullet_deg_minus1(star, bracket, u, v),

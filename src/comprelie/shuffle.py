@@ -285,23 +285,24 @@ def pair_identities_failures(star: PairMap, bracket: PairMap, letters):
                     yield ("bracket-leibniz", x, y, z, d)
 
 
-def hyperboloid_products(a, b, c) -> tuple[PairMap, PairMap]:
-    """The three-dimensional family on letters x, y, z with parameters
-    a, b, c: x acts as identity under *, and the bracket of x with y and z
-    mixes them through a, b, c.  The mixed identities hold exactly on the
-    surface a^2 - a + b c = 0."""
+def hyperboloid_products(a, b, c, letters="xyz") -> tuple[PairMap, PairMap]:
+    """The three-dimensional family on three letters (x, y and z by
+    default) with parameters a, b, c: the first letter acts as identity
+    under *, and its bracket with the other two mixes them through a, b,
+    c.  The mixed identities hold exactly on a^2 - a + b c = 0."""
+    x, y, z = letters
     star = {
-        ("x", "x"): unit("x"),
-        ("x", "y"): unit("y"),
-        ("x", "z"): unit("z"),
+        (x, x): unit(x),
+        (x, y): unit(y),
+        (x, z): unit(z),
     }
-    xy = unit("y").scale(a) + unit("z").scale(b)
-    xz = unit("y").scale(c) + unit("z").scale(1 - a)
+    xy = unit(y).scale(a) + unit(z).scale(b)
+    xz = unit(y).scale(c) + unit(z).scale(1 - a)
     bracket = {
-        ("x", "y"): xy,
-        ("y", "x"): -xy,
-        ("x", "z"): xz,
-        ("z", "x"): -xz,
+        (x, y): xy,
+        (y, x): -xy,
+        (x, z): xz,
+        (z, x): -xz,
     }
     star = {k: v for k, v in star.items() if v}
     bracket = {k: v for k, v in bracket.items() if v}

@@ -36,7 +36,10 @@ round; the tests compare the two.
   ``n_ideals``, ``n_cut_terms`` and ``n_admissible`` count the ideals,
   the distinct terms of a cutting coproduct and the admissible partitions
   straight from their definitions, and gate the sizes of the coproducts
-  and of ``dual.theta``.
+  and of ``dual.theta``;
+* ``LAW_DEFECTS``, each law's defect computed on LinComb arguments with a
+  fresh LinComb for every product and difference, gates the key-level
+  law kernels of ``axioms``.
 
 The tensor-leg helpers at the end reassociate and permute tensor keys for
 the coassociativity and cocommutativity tests.
@@ -771,6 +774,100 @@ def F_reference(iso, k) -> LinComb:
         for t, c in iter_reduced(iso.tb, k, m).items():
             out.iadd_scaled(c, tensor(*map(iso.varpi_k, t)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The law defects at LinComb arguments, by law name: every product, nested
+# product and difference is a LinComb of its own.  Zero iff the law holds on
+# the arguments.
+# ---------------------------------------------------------------------------
+
+def _commutativity(ops, x, y):
+    return ops.mul(x, y) - ops.mul(y, x)
+
+
+def _associativity(ops, x, y, z):
+    return ops.mul(ops.mul(x, y), z) - ops.mul(x, ops.mul(y, z))
+
+
+def _prelie_identity(ops, x, y, z):
+    def assoc_defect(u, v, w):
+        return ops.prelie(ops.prelie(u, v), w) - ops.prelie(u, ops.prelie(v, w))
+
+    return assoc_defect(x, y, z) - assoc_defect(x, z, y)
+
+
+def _leibniz(ops, x, y, z):
+    return (ops.prelie(ops.mul(x, y), z)
+            - ops.mul(ops.prelie(x, z), y)
+            - ops.mul(x, ops.prelie(y, z)))
+
+
+def _coassociativity(ops, x):
+    out = LinComb()
+    for (k1, k2), co in ops.cop(x).items():
+        for (a, b), ci in ops.cop_k(k1).items():
+            out.add_term((a, b, k2), co * ci)
+        for (a, b), ci in ops.cop_k(k2).items():
+            out.add_term((k1, a, b), -co * ci)
+    return out
+
+
+def _counit_law(ops, x):
+    eps = ops.alg.counit
+    left = LinComb()
+    right = LinComb()
+    for (k1, k2), c in ops.cop(x).items():
+        left.add_term(k2, c * eps(k1))
+        right.add_term(k1, c * eps(k2))
+    d = left - x
+    return d if d else right - x
+
+
+def _multiplicativity(ops, x, y):
+    lhs = ops.cop(ops.mul(x, y))
+    rhs = LinComb()
+    for (a1, a2), ca in ops.cop(x).items():
+        for (b1, b2), cb in ops.cop(y).items():
+            for k1, c1 in ops.mul_k(a1, b1).items():
+                for k2, c2 in ops.mul_k(a2, b2).items():
+                    rhs.add_term((k1, k2), ca * cb * c1 * c2)
+    return lhs - rhs
+
+
+def _compatibility(ops, x, y):
+    lhs = ops.cop(ops.prelie(x, y))
+    cx = ops.cop(x)
+    rhs = LinComb()
+    for (a1, a2), ca in cx.items():
+        for kb, cb in y.items():
+            for k, c in ops.prelie_k(a2, kb).items():
+                rhs.add_term((a1, k), ca * cb * c)
+    cy = ops.cop(y)
+    for (a1, a2), ca in cx.items():
+        for (b1, b2), cb in cy.items():
+            for k1, c1 in ops.prelie_k(a1, b1).items():
+                for k2, c2 in ops.mul_k(a2, b2).items():
+                    rhs.add_term((k1, k2), ca * cb * c1 * c2)
+    return lhs - rhs
+
+
+def _eps_prelie(ops, x, y):
+    v = ops.counit(ops.prelie(x, y))
+    return LinComb() if v == 0 else LinComb([(("counit of prelie",), v)])
+
+
+LAW_DEFECTS = {
+    "commutativity": _commutativity,
+    "associativity": _associativity,
+    "prelie": _prelie_identity,
+    "leibniz": _leibniz,
+    "coassociativity": _coassociativity,
+    "counit": _counit_law,
+    "multiplicativity": _multiplicativity,
+    "compatibility": _compatibility,
+    "eps-prelie": _eps_prelie,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
 """The law harness checked against itself: every handle passes the sweeps,
 every deliberate corruption is caught, and the tensor construction behaves."""
 
+import hashlib
 import itertools
+import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from comprelie import axioms
 from comprelie.axioms import (
+    _CORRUPTIONS,
+    _LAWS,
+    _Ops,
+    _sample_lincomb,
+    _supported,
     all_pass,
     applicable_laws,
     basis_tuples,
@@ -31,7 +41,9 @@ from comprelie.handles import (
     tvf_handle,
     ucp_handle,
 )
-from comprelie.lincomb import unit
+from comprelie.lincomb import LinComb, unit
+
+from oracles import LAW_DEFECTS
 
 
 COMPRELIE_LAWS = ("commutativity", "associativity", "prelie", "leibniz")
@@ -99,6 +111,16 @@ def test_keys_round_trip(name):
         alg.parse_key(OUTSIDE[name])
     assert str(e.value).startswith(repr(OUTSIDE[name]))
     assert f"outside the {name} " in str(e.value)
+
+
+def test_degneg1_needs_three_letters():
+    for alphabet in (("p", "q"), ("p", "q", "r", "s")):
+        with pytest.raises(ValueError, match=f"degneg1 .* got {len(alphabet)}"):
+            get_handle("degneg1", alphabet=alphabet)
+    # on any three letters the preLie product is not zero
+    alg = get_handle("degneg1", alphabet=("p", "q", "r"))
+    half = Fraction(1, 2)
+    assert alg.prelie(("p", "q"), ()) == LinComb({("q",): half, ("r",): half})
 
 
 def test_get_handle_unknown_name():
@@ -244,6 +266,105 @@ def test_corrupt_unknown_kind():
         corrupt(cp_handle(), "unit")
 
 
+# --- the key-level law kernels ---------------------------------------------------
+
+def _variants(alg):
+    """The handle, then each corruption its pieces allow."""
+    return [alg] + [corrupt(alg, which)
+                    for which, (piece, _) in _CORRUPTIONS.items()
+                    if _supported(alg, (piece,))]
+
+
+def _kernel_fails(kernel, ops, *args):
+    """The kernel summed over the tuples of terms of LinComb args, nonzero."""
+    acc = LinComb()
+    for terms in itertools.product(*(a.items() for a in args)):
+        kernel(ops, acc, math.prod(c for _, c in terms), *(k for k, _ in terms))
+    return bool(acc)
+
+
+@pytest.mark.parametrize("name", EVERY_HANDLE)
+def test_key_level_defects_match_the_reference(name):
+    # every failing basis tuple of every law, diagonal tuples included, and
+    # a few random LinCombs of keys up to degree 2: the kernel's verdict is
+    # the reference's
+    rnd = random.Random(name)
+    for alg in _variants(_handle(name)):
+        ops, ref = _Ops(alg), _Ops(alg)
+        slices = {n: alg.basis(n) for n in range(4)}
+        pool = [k for n in range(3) for k in slices[n]]
+        for law, arity, needs, kernel, _ in _LAWS:
+            if not _supported(alg, needs):
+                continue
+            defect = LAW_DEFECTS[law]
+            tuples = list(basis_tuples(slices, arity, 3))
+            got = {t for t in tuples
+                   if _kernel_fails(kernel, ops, *map(unit, t))}
+            want = {t for t in tuples if defect(ref, *map(unit, t))}
+            assert got == want, (alg.name, law)
+            for _ in range(4):
+                args = [_sample_lincomb(rnd, pool) for _ in range(arity)]
+                assert _kernel_fails(kernel, ops, *args) == bool(
+                    defect(ref, *args)), (alg.name, law, args)
+
+
+def test_swapped_slots_never_hold_equal_keys(monkeypatch):
+    # the defect there is X - X, so the exhaustive sweep never evaluates it
+    seen = []
+
+    def recording(law, kernel):
+        def recorded(ops, acc, c, *keys):
+            seen.append((law, keys))
+            kernel(ops, acc, c, *keys)
+        return recorded
+
+    swaps = {law: swap for law, _, _, _, swap in _LAWS if swap}
+    assert swaps == {"commutativity": (0, 1), "prelie": (1, 2)}
+    monkeypatch.setattr(axioms, "_LAWS", tuple(
+        (law, arity, needs, recording(law, kernel), swap)
+        for law, arity, needs, kernel, swap in _LAWS))
+    assert all_pass(run_all(cp_handle(), 3))
+    assert {law for law, _ in seen} >= set(swaps)
+    for law, keys in seen:
+        if law in swaps:
+            i, j = swaps[law]
+            assert keys[i] != keys[j], (law, keys)
+
+
+def test_corrupted_handle_reports_are_pinned():
+    # every corrupted handle's report lines at degree 3, witnesses included
+    lines = [line for name in HANDLE_NAMES for alg in _variants(
+        get_handle(name))[1:] for line in report_lines(run_all(alg, 3))]
+    assert len(lines) == 239
+    assert sum(" FAIL " in line for line in lines) == 91
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == \
+        "87a11a9dd26bd8b415190002eb83f36ad0fb8e10693cd466ca321e36e7eeaae4"
+
+
+# handle calls of one run_all at degree 4: each key-level product is asked
+# of the handle once, and no tuple a swap skips asks for one
+HANDLE_CALLS_AT_4 = {"ucp": 3621, "cp": 151, "hck": 117, "tvf": 289,
+                     "degneg1": 1215, "dual-cp": 128, "dual-ucp": 72}
+
+
+@pytest.mark.parametrize("name", HANDLE_NAMES)
+def test_sweep_handle_calls_are_pinned(name):
+    calls = itertools.count()
+
+    def counted(f):
+        def wrapper(*args):
+            next(calls)
+            return f(*args)
+        return wrapper
+
+    alg = get_handle(name)
+    pieces = [p for p in ("mul", "prelie", "coproduct")
+              if getattr(alg, p) is not None]
+    alg = replace(alg, **{p: counted(getattr(alg, p)) for p in pieces})
+    assert all_pass(run_all(alg, 4))
+    assert next(calls) == HANDLE_CALLS_AT_4[name]
+
+
 # --- sampled mode ---------------------------------------------------------------
 
 def test_sampled_mode_clean():
@@ -257,6 +378,23 @@ def test_sampled_mode_catches_corruption():
     reports = _select(run_all(bad, 3, mode="sampled", seed=11, samples=60),
                       COMPRELIE_LAWS)
     assert not all_pass(reports)
+
+
+def test_sampled_witnesses_are_pinned():
+    # the failing combinations of a corrupted cp, drawn at seed 11
+    reports = run_all(corrupt(cp_handle(), "prelie"), 3, mode="sampled",
+                      seed=11, samples=60)
+    assert _failures(reports) == [
+        "prelie cp!prelie 3 FAIL x=-2*{[d([d,d])]} "
+        "y=1*{[d([d([d])])]} + 2*{[d([d])]} + -1*{[d,d([d])]} "
+        "z=-1*{[d([d],[d])]} + 2*{[d,d([d])]} + 1*{[d,d]}",
+        "leibniz cp!prelie 3 FAIL x=-1*{[d([d],[d])]} + 1*{[d,d,d]} + "
+        "1*{[d]} y=-2*{[d([d([d])])]} + -2*{[d,d]} + -2*{[d]} z=1*{[d,d]}",
+        "compatibility cp!prelie 3 FAIL x=-2*{[d,d([d])]} "
+        "y=1*{[d([d],[d])]} + 2*{}",
+        "eps-prelie cp!prelie 3 FAIL x=-1*{[d([d],[d])]} "
+        "y=2*{[d,d([d])]} + 2*{}",
+    ]
 
 
 def test_unknown_mode():

@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import hashlib
 import io
 import os
 import subprocess
@@ -214,6 +215,65 @@ def test_check_on_hyperboloid_passes(capsys):
     rc, out = run(capsys, "check", "--algebra", "degneg1",
                   "--abc", "0,2,0", "--maxdeg", "3")
     assert rc == 0
+
+
+def test_check_degneg1_on_any_three_letters(capsys):
+    # the family is laid onto the alphabet's three letters in order: the
+    # same reports, and off the surface the same failure
+    assert run(capsys, "check", "--algebra", "degneg1", "--maxdeg", "3",
+               "--alphabet", "a,b,c") == run(
+        capsys, "check", "--algebra", "degneg1", "--maxdeg", "3")
+    rc, out = run(capsys, "check", "--algebra", "degneg1", "--abc", "1,1,1",
+                  "--maxdeg", "3", "--alphabet", "a,b,c")
+    assert rc == 1
+    assert "prelie degneg1 3 FAIL" in out
+
+
+@pytest.mark.parametrize("alphabet, count", [("p,q", 2), ("a,b,c,e", 4)])
+def test_check_degneg1_needs_three_letters(capsys, monkeypatch, alphabet,
+                                           count):
+    # refused before degneg1 is swept, and before any report is printed
+    swept = []
+    real = cli.run_all
+
+    def recording(alg, *args, **kwargs):
+        swept.append(alg.name)
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_all", recording)
+    for algebra in ("degneg1", "all"):
+        rc = main(["check", "--algebra", algebra, "--maxdeg", "1",
+                   "--alphabet", alphabet])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == ("error: degneg1 needs an alphabet of 3 letters, "
+                       f"got {count}\n")
+    assert "degneg1" not in swept
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("check --algebra all --maxdeg 4",
+     "21507d1f0fbc49f2f98ad49efdf7a10adfb03b6353f298a1d1d81352af710a2c"),
+    ("check --algebra all --maxdeg 3 --selftest",
+     "9ef09754e66d8aa534f1bb2fae405239f6a1dcc3803e4007e641daa6ce57cf4c"),
+    ("check --algebra all --maxdeg 2 --selftest",
+     "07d7af5a9c155220a9316c7b474f3c26701098dbeda1813103fdfb9da0385c7e"),
+])
+def test_check_stdout_is_pinned(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("maxdeg", ["0", "1", "2"])
+def test_check_selftest_below_degree_3(capsys, maxdeg):
+    # the corruptions need degree 3 to break every law, so the self-test
+    # runs there whatever --maxdeg is
+    rc, out = run(capsys, "check", "--algebra", "all", "--maxdeg", maxdeg,
+                  "--selftest")
+    assert rc == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("selftest")] == [
+        f"selftest {name} PASS" for name in HANDLE_NAMES]
 
 
 def test_check_jobs_matches_serial(capsys):

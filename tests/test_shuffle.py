@@ -154,6 +154,19 @@ def test_hyperboloid_surface_criterion():
                 assert ok_letters == on_surface, (a, b, c)
 
 
+def test_hyperboloid_on_other_letters():
+    # the family on p, q, r is the one on x, y, z with the letters renamed
+    rename = dict(zip(XYZ, "pqr"))
+
+    def renamed(pairs):
+        return {(rename[a], rename[b]): v.map_keys(rename.get)
+                for (a, b), v in pairs.items()}
+
+    for abc in ((0, 1, 0), (2, -1, 2), (1, 1, 1)):
+        assert hyperboloid_products(*abc, "pqr") == tuple(
+            map(renamed, hyperboloid_products(*abc)))
+
+
 def test_hyperboloid_eq_checks_match_surface():
     cases = [(0, 0, 0, True), (1, 0, 0, True), (0, 1, 0, True),
              (2, -1, 2, True), (1, 1, 1, False), (2, 1, 1, False)]
