@@ -69,7 +69,9 @@ class AlgebraHandle:
     ``parse_key`` reads that text back: it returns the key, or raises
     ValueError when the text is not a key of the basis (its shape, or
     its letters).  A handle with ``mul=None`` is a bare preLie algebra and
-    only the preLie identity is swept.
+    only the preLie identity is swept.  Those of ``handles`` are plain data
+    (module-level functions and partials of them), so a verb can send one
+    to a worker process.
     """
 
     name: str

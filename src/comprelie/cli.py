@@ -23,7 +23,8 @@ unparseable input (including negative size flags, a COMPRELIE_MAXDEG
 that is not a nonnegative integer, --labels, --samples or --jobs below 1,
 an --alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a
 repeated letter, a word with a letter outside its algebra's alphabet, and
-a tree outside its algebra's basis shapes),
+a tree outside its algebra's basis shapes; `check` builds every handle
+before its first sweep, so a parameter one refuses costs no sweep),
 3 resource bound exceeded (including input nested too deeply for the
 recursion limit), 141 (128 + SIGPIPE, what a shell reports for a process
 that SIGPIPE ends) when the reader closes stdout before the output is
@@ -38,6 +39,7 @@ has no --force.  Identical invocations produce byte-identical output.
 import argparse
 import os
 import sys
+from functools import partial
 
 from .axioms import all_pass, report_lines, run_all, selftest_gaps
 from .dual import diamond, diamond_down, psi_inverse, psi_map, theta
@@ -244,10 +246,11 @@ def cmd_rigidity_obstruction(args) -> int:
     return 0
 
 
-def _check_job(spec) -> list:
-    name, labels, alphabet, abc, maxdeg, mode, seed, samples = spec
-    alg = get_handle(name, labels, alphabet, abc)
-    return run_all(alg, maxdeg, mode=mode, seed=seed, samples=samples)
+def _check_job(args, alg) -> tuple:
+    """One algebra's reports, and its self-test gaps under --selftest."""
+    reports = run_all(alg, args.maxdeg, mode=args.mode, seed=args.seed,
+                      samples=args.samples)
+    return reports, selftest_gaps(alg) if args.selftest else None
 
 
 def cmd_check(args) -> int:
@@ -260,30 +263,27 @@ def cmd_check(args) -> int:
            if args.abc else None)
     if abc is not None and len(abc) != 3:
         raise CliError("--abc needs exactly three rationals")
-    specs = [(n, labels, alphabet, abc, args.maxdeg, args.mode, args.seed,
-              args.samples) for n in names]
-    workers = min(at_least(args.jobs, 1, "--jobs"), len(specs))
+    # Every handle before any sweep: a parameter one refuses costs no work.
+    algs = [get_handle(name, labels, alphabet, abc) for name in names]
+    job = partial(_check_job, args)
+    workers = min(at_least(args.jobs, 1, "--jobs"), len(algs))
     if workers > 1:
-        # Imported here: the pool's imports cost every other process
-        # about 20 ms of start-up.
+        # Imported here: it would add about 20 ms to every start-up.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_check_job, specs))
+            blocks = list(pool.map(job, algs))
     else:
-        blocks = [_check_job(s) for s in specs]
-    reports = [r for block in blocks for r in block]
+        blocks = list(map(job, algs))
+    reports = [r for block, _ in blocks for r in block]
     for line in report_lines(reports):
         print(line)
     failed = not all_pass(reports)
-    if args.selftest:
-        for name in names:
-            alg = get_handle(name, labels, alphabet, abc)
-            gaps = selftest_gaps(alg)
-            if gaps:
-                print(f"selftest {name} FAIL gaps={','.join(gaps)}")
-                failed = True
-            else:
-                print(f"selftest {name} PASS")
+    for name, (_, gaps) in zip(names, blocks):
+        if gaps:
+            print(f"selftest {name} FAIL gaps={','.join(gaps)}")
+            failed = True
+        elif gaps is not None:
+            print(f"selftest {name} PASS")
     return 1 if failed else 0
 
 
@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abc", metavar="A,B,C",
                    help="parameters of the degree -1 family "
                         "(preLie iff a*a - a + b*c = 0)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="sweep and self-test up to N algebras in parallel")
     _add_alphabet_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_check)

@@ -26,14 +26,16 @@ Names understood by :func:`get_handle` (and the CLI), each with the
 
 Tree handles are graded by vertex count, word handles by length.  A tree
 handle's ``parse_key`` reads the trees of its basis shape, whatever their
-labels; a word handle's reads the words over its own alphabet.
+labels; a word handle's reads the words over its own alphabet.  Every
+field is a module-level function or a partial of one, so a handle pickles;
+tvf and degneg1 keep f, or star and bracket, since a ``Varpi`` holds closures.
 """
 
 from __future__ import annotations
 
 import inspect
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from typing import Callable
 
 from .axioms import AlgebraHandle
@@ -54,45 +56,41 @@ from .ucp import (
 )
 
 
-def _keys(read: Callable, ok: Callable, why: str) -> Callable:
-    """A handle's `parse_key`: `read` the text, and refuse a key not `ok`."""
-    def parse_key(text: str):
-        key = read(text)
-        if not ok(key):
-            raise ValueError(f"{text!r} {why}")
-        return key
-
-    return parse_key
+def _parse_key(read: Callable, ok: Callable, why: str, text: str):
+    """A `parse_key` once bound: `read` the text, refuse a key not `ok`."""
+    key = read(text)
+    if not ok(key):
+        raise ValueError(f"{text!r} {why}")
+    return key
 
 
 def _tree_keys(name: str, shape: Callable) -> Callable:
-    return _keys(parse, shape, f"is outside the {name} basis")
+    return partial(_parse_key, parse, shape, f"is outside the {name} basis")
 
 
 def _word_keys(name: str, alphabet) -> Callable:
-    return _keys(parse_word, set(alphabet).issuperset,
-                 f"has a letter outside the {name} alphabet "
-                 f"{','.join(sorted(alphabet))}")
+    return partial(_parse_key, parse_word, frozenset(alphabet).issuperset,
+                   f"has a letter outside the {name} alphabet "
+                   f"{','.join(sorted(alphabet))}")
 
 
 def _uncounted_tree(t) -> bool:
     return is_partitioned_tree(t) and not counter_total(t)
 
 
-def _counter_basis(enum, labels, cap: int):
-    """Memoized degree -> basis: every tree of `enum` with counters 0..cap,
-    in serialized order."""
-    @lru_cache(maxsize=None)
-    def basis(n: int) -> list:
-        return sorted(enum(n, labels, cap), key=serialize)
+def _uncounted_forest(t) -> bool:
+    return is_plain(t) and not counter_total(t)
 
-    return basis
+
+def _one_rooted_basis(n: int, labels, cap: int) -> list:
+    """enum_one_rooted in serialized order, which puts {[d:1]} before {[d]}."""
+    return sorted(enum_one_rooted(n, labels, cap), key=serialize)
 
 
 def ucp_handle(labels=("d",), counter_cap: int = 1) -> AlgebraHandle:
     return AlgebraHandle(
         name="ucp",
-        basis=_counter_basis(enum_partitioned, labels, counter_cap),
+        basis=partial(enum_partitioned, labels=labels, cap=counter_cap),
         prelie=ucp_bullet, mul=mul_merge_lc, unit=EMPTY, key_str=serialize,
         parse_key=_tree_keys("ucp", is_partitioned_tree),
         coproduct=coproduct_ucp, counit=counit)
@@ -100,7 +98,7 @@ def ucp_handle(labels=("d",), counter_cap: int = 1) -> AlgebraHandle:
 
 def cp_handle(labels=("d",)) -> AlgebraHandle:
     return AlgebraHandle(
-        name="cp", basis=lambda n: enum_partitioned(n, labels),
+        name="cp", basis=partial(enum_partitioned, labels=labels),
         prelie=cp_bullet, mul=mul_merge_lc, unit=EMPTY, key_str=serialize,
         parse_key=_tree_keys("cp", _uncounted_tree),
         coproduct=coproduct_cp, counit=counit)
@@ -108,11 +106,10 @@ def cp_handle(labels=("d",)) -> AlgebraHandle:
 
 def hck_handle(labels=("d",)) -> AlgebraHandle:
     return AlgebraHandle(
-        name="hck", basis=lambda n: enum_plain_forests(n, labels),
+        name="hck", basis=partial(enum_plain_forests, labels=labels),
         prelie=hck_bullet, mul=mul_disjoint_lc, unit=EMPTY,
         key_str=serialize, coproduct=coproduct_hck, counit=counit,
-        parse_key=_tree_keys("hck",
-                             lambda t: is_plain(t) and not counter_total(t)))
+        parse_key=_tree_keys("hck", _uncounted_forest))
 
 
 def tvf_handle(f=None, alphabet=("a", "b")) -> AlgebraHandle:
@@ -120,8 +117,8 @@ def tvf_handle(f=None, alphabet=("a", "b")) -> AlgebraHandle:
         f = {x: unit(x) for x in alphabet}
 
     return AlgebraHandle(
-        name="tvf", basis=lambda n: words_of_length(alphabet, n),
-        prelie=lambda u, v: bullet_tvf(f, u, v), mul=shuffle, unit=EPS,
+        name="tvf", basis=partial(words_of_length, alphabet),
+        prelie=partial(bullet_tvf, f), mul=shuffle, unit=EPS,
         key_str=fmt_word, parse_key=_word_keys("tvf", alphabet),
         coproduct=deconcat, counit=counit_word)
 
@@ -133,8 +130,8 @@ def degneg1_handle(abc=(Fraction(1, 2),) * 3,
                          f"got {len(alphabet)}")
     star, bracket = hyperboloid_products(*abc, letters=alphabet)
     return AlgebraHandle(
-        name="degneg1", basis=lambda n: words_of_length(alphabet, n),
-        prelie=lambda u, v: bullet_deg_minus1(star, bracket, u, v),
+        name="degneg1", basis=partial(words_of_length, alphabet),
+        prelie=partial(bullet_deg_minus1, star, bracket),
         mul=shuffle, unit=EPS, key_str=fmt_word,
         parse_key=_word_keys("degneg1", alphabet), coproduct=deconcat,
         counit=counit_word)
@@ -142,7 +139,7 @@ def degneg1_handle(abc=(Fraction(1, 2),) * 3,
 
 def dual_cp_handle(labels=("d",)) -> AlgebraHandle:
     return AlgebraHandle(
-        name="dual-cp", basis=lambda n: enum_partitioned(n, labels),
+        name="dual-cp", basis=partial(enum_partitioned, labels=labels),
         prelie=diamond, mul=mul_merge_lc, unit=EMPTY, key_str=serialize,
         parse_key=_tree_keys("dual-cp", _uncounted_tree))
 
@@ -150,7 +147,7 @@ def dual_cp_handle(labels=("d",)) -> AlgebraHandle:
 def dual_ucp_handle(labels=("d",), counter_cap: int = 1) -> AlgebraHandle:
     return AlgebraHandle(
         name="dual-ucp",
-        basis=_counter_basis(enum_one_rooted, labels, counter_cap),
+        basis=partial(_one_rooted_basis, labels=labels, cap=counter_cap),
         prelie=diamond_down, mul=None, key_str=serialize,
         parse_key=_tree_keys("dual-ucp", is_one_rooted))
 

@@ -4,6 +4,7 @@ every deliberate corruption is caught, and the tensor construction behaves."""
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -121,6 +122,30 @@ def test_degneg1_needs_three_letters():
     alg = get_handle("degneg1", alphabet=("p", "q", "r"))
     half = Fraction(1, 2)
     assert alg.prelie(("p", "q"), ()) == LinComb({("q",): half, ("r",): half})
+
+
+# Parameters other than the defaults: two labels, a counter cap of 2, a
+# degneg1 on other letters at another point of its surface, and a tvf whose
+# f is not the identity.
+NON_DEFAULT = {
+    "ucp": dict(labels=("d", "e"), counter_cap=2),
+    "cp": dict(labels=("d", "e")),
+    "hck": dict(labels=("d", "e")),
+    "tvf": dict(f={"a": unit("b"), "b": unit("a").scale(2) + unit("b")}),
+    "degneg1": dict(alphabet=("p", "q", "r"), abc=(0, 2, 0)),
+    "dual-cp": dict(labels=("d", "e")),
+    "dual-ucp": dict(labels=("d", "e"), counter_cap=2),
+}
+
+
+@pytest.mark.parametrize("params", ["default", "non-default"])
+@pytest.mark.parametrize("name", HANDLE_NAMES)
+def test_handles_pickle(name, params):
+    # a verb can send a handle to a pool worker that shares no memory
+    alg = get_handle(name, **({} if params == "default" else NON_DEFAULT[name]))
+    copy = pickle.loads(pickle.dumps(alg))
+    assert (report_lines(run_all(copy, 2))
+            == report_lines(run_all(alg, 2)))
 
 
 def test_get_handle_unknown_name():

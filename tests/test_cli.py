@@ -2,10 +2,12 @@ import argparse
 import concurrent.futures
 import hashlib
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -331,6 +333,59 @@ def test_check_pool_never_outnumbers_the_algebras(capsys, monkeypatch):
         assert sizes.pop() == size
     run(capsys, "check", "--algebra", "cp", "--maxdeg", "1", "--jobs", "8")
     assert sizes == []
+
+
+def test_check_pool_sends_only_what_pickles(capsys, monkeypatch):
+    # a spawned worker shares no memory with this process, as one started
+    # by forkserver (Python 3.14's default on Linux) does not either: the
+    # job and the handles reach it pickled
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        partial(concurrent.futures.ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn")))
+    rc, out = run(capsys, "check", "--algebra", "all", "--maxdeg", "2",
+                  "--selftest", "--jobs", "2")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "07d7af5a9c155220a9316c7b474f3c26701098dbeda1813103fdfb9da0385c7e")
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """What `check` asks of `get_handle` and `run_all`, in order."""
+    calls = []
+    real_handle, real_run_all = cli.get_handle, cli.run_all
+
+    def get_handle(name, *args):
+        calls.append(("get_handle", name))
+        return real_handle(name, *args)
+
+    def run_all(alg, *args, **kwargs):
+        calls.append(("run_all", alg.name))
+        return real_run_all(alg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "get_handle", get_handle)
+    monkeypatch.setattr(cli, "run_all", run_all)
+    return calls
+
+
+def test_check_builds_each_handle_once_before_any_sweep(capsys, check_calls):
+    rc, out = run(capsys, "check", "--algebra", "all", "--maxdeg", "1",
+                  "--selftest")
+    assert rc == 0
+    assert check_calls == ([("get_handle", n) for n in HANDLE_NAMES]
+                           + [("run_all", n) for n in HANDLE_NAMES])
+
+
+def test_check_refuses_a_parameter_before_any_sweep(capsys, check_calls):
+    # degneg1, fifth of the algebras, takes no two-letter alphabet
+    assert main(["check", "--algebra", "all", "--alphabet", "p,q",
+                 "--maxdeg", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: degneg1 needs an alphabet of 3 letters, "
+                            "got 2\n")
+    assert [c for c, _ in check_calls] == ["get_handle"] * 5
 
 
 # --- exit codes and guards ----------------------------------------------------
@@ -681,15 +736,17 @@ def test_import_leaves_the_process_pool_out():
     assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
 
 
-def test_check_jobs_in_a_fresh_process_matches_serial():
+@pytest.mark.parametrize("extra,lines", [([], 50), (["--selftest"], 57)],
+                         ids=["sweep", "selftest"])
+def test_check_jobs_in_a_fresh_process_matches_serial(extra, lines):
     # here the pool's module is first imported inside `check`
     cmd = [sys.executable, "-m", "comprelie.cli", "check", "--algebra",
-           "all", "--maxdeg", "2", "--jobs"]
+           "all", "--maxdeg", "2", *extra, "--jobs"]
     one, two = (subprocess.run(cmd + [jobs], capture_output=True, cwd=SRC)
                 for jobs in ("1", "2"))
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
-    assert len(one.stdout.splitlines()) == 50
+    assert len(one.stdout.splitlines()) == lines
 
 
 @pytest.mark.parametrize("argv,first", [
