@@ -24,13 +24,18 @@ with counters recording how many child blocks vanished whole (UCP only).
 
 Also here: the block-pruning coproduct ``delta_perm`` that removes one whole
 child block of one root (a permutative, preLie-compatible coproduct on the
-augmentation ideal), and the Connes-Moscovici elements obtained by repeated
-grafting of single leaves, with their cogenerator-level reduced coproduct.
+augmentation ideal), whose kernel is computed class by class
+(``kernel_delta_dim``), and the Connes-Moscovici elements obtained by
+repeated grafting of single leaves, with their cogenerator-level reduced
+coproduct.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
+from math import factorial, perm, prod
 from typing import Callable, Mapping
 
 from .lincomb import LinComb, tensor, unit
@@ -38,6 +43,7 @@ from .linalg import sparse_rank
 from .ptree import (
     EMPTY,
     PForest,
+    _multisets,
     build_root,
     canonicalize,
     counter_total,
@@ -208,11 +214,77 @@ def delta_perm(t: PForest) -> LinComb:
     return out
 
 
+def _partitions(s: int):
+    """The partitions of s, each a nondecreasing tuple of parts."""
+    parts = list(range(1, s + 1))
+    return _multisets(parts, parts, s)
+
+
+def _patterned(n: int, pattern: tuple) -> int:
+    """The multisets of n distinct items whose sorted multiplicities are
+    `pattern`: distinct items for the parts in order, up to permuting equal
+    parts."""
+    return perm(n, len(pattern)) // prod(
+        map(factorial, Counter(pattern).values()))
+
+
+def _pattern_counts(top: int, labels) -> list[Counter]:
+    """P[m][mu] for m <= top: the multisets of blocks of total size m whose
+    sorted multiplicities are mu.  Size p adds, for each pattern nu of its
+    own blocks, p * |nu| vertices in `_patterned(blocks of size p, nu)`
+    ways."""
+    counts = [Counter() for _ in range(top + 1)]
+    counts[0][()] = 1
+    for p in range(1, top + 1):
+        blocks = len(enum_partitioned(p, labels))
+        for m in range(top, p - 1, -1):  # downwards: size p is added once
+            for s in range(1, m // p + 1):
+                for nu in _partitions(s):
+                    if ways := _patterned(blocks, nu):
+                        for mu, c in counts[m - p * s].items():
+                            counts[m][tuple(sorted(mu + nu))] += c * ways
+    return counts
+
+
+def _model_kernel(lam: tuple, mu: tuple) -> int:
+    """dim ker delta_perm on the model class: roots with fresh labels of
+    multiplicities lam, carrying every distribution of distinct single-leaf
+    blocks of multiplicities mu."""
+    roots = [f"r{i}" for i, c in enumerate(lam) for _ in range(c)]
+    rows = {}
+    for spots in product(*(combinations_with_replacement(range(len(roots)), c)
+                           for c in mu)):
+        kids = [[] for _ in roots]
+        for j, where in enumerate(spots):
+            for i in where:
+                kids[i].append((((0, f"b{j}"), ()),))
+        rows[canonicalize((tuple(((0, r), tuple(k))
+                                 for r, k in zip(roots, kids)),))] = None
+    return len(rows) - sparse_rank(map(delta_perm, rows))
+
+
 def kernel_delta_dim(n: int, labels) -> int:
     """Dimension of the kernel of the block-pruning coproduct on the span of
-    the n-vertex counter-free partitioned trees."""
-    trees = enum_partitioned(n, labels)
-    return len(trees) - sparse_rank(delta_perm(t) for t in trees)
+    the n-vertex counter-free partitioned trees.
+
+    delta_perm never looks inside a child block, so a tree and every key
+    (trunk, piece) of its image share one class: the multiset L of root
+    labels and the multiset C of all root child blocks, C(t) = C(trunk) +
+    {piece}.  The matrix is block diagonal by class, and a class's block
+    depends only on the sorted multiplicities lam of L and mu of C, up to
+    renaming labels and blocks.  So the kernel is the sum, over k roots,
+    lam of k and mu of total size n - k, of (label multisets with pattern
+    lam) * (block multisets with pattern mu) * `_model_kernel(lam, mu)`."""
+    if n == 0:
+        return 1
+    counts = _pattern_counts(n - 1, labels)
+    total = 0
+    for k in range(1, n + 1):
+        for lam in _partitions(k):
+            if weight := _patterned(len(labels), lam):
+                for mu, c in counts[n - k].items():
+                    total += weight * c * _model_kernel(lam, mu)
+    return total
 
 
 # ---------------------------------------------------------------------------

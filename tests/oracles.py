@@ -8,6 +8,8 @@ round; the tests compare the two.
   one loop over the vertices (or the root's blocks) each, gate the sums
   over ``ptree.grafts`` in ``ucp`` and ``dual`` and ``dual.delta_root``;
 * ``counter_elimination_recursive`` gates ``ucp.counter_elimination``;
+* ``kernel_delta_dim_reference``, one ``delta_perm`` row per tree of the
+  slice, gates the class-by-class ``ucp.kernel_delta_dim``;
 * ``cm_delta_oracle`` gates ``ucp.cm_delta_closed``;
 * ``bullet_tvf_shuffles`` gates ``shuffle.bullet_tvf``;
 * ``bullet_varpi`` (over all ``splits``) gates ``shuffle.bullet_varpi``
@@ -59,15 +61,16 @@ from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
 from comprelie.oudom import Extension
 from comprelie.ptree import (
     EMPTY, NEW_BLOCK, Block, Node, ParseError, PForest, _multisets,
-    build_root, canonicalize, coarsenings, forget_blocks, graft_shift,
-    is_one_rooted, is_partitioned_tree, nvertices, restrict, serialize,
-    set_partitions, varsigma, vertices,
+    build_root, canonicalize, coarsenings, enum_partitioned, forget_blocks,
+    graft_shift, is_one_rooted, is_partitioned_tree, nvertices, restrict,
+    serialize, set_partitions, varsigma, vertices,
 )
 from comprelie.shuffle import (
     EndoV, Varpi, Word, apply_endo, shuffle, words_of_length,
 )
 from comprelie.ucp import (
-    _power_map, cm_x, coproduct_hck, mul_disjoint_lc, mul_merge_lc,
+    _power_map, cm_x, coproduct_hck, delta_perm, mul_disjoint_lc,
+    mul_merge_lc,
 )
 
 
@@ -551,6 +554,13 @@ def delta_root_loop(t: PForest) -> LinComb:
             trunk = canonicalize((((dec, blocks[:bi] + blocks[bi + 1:]),),))
             out.add_term((trunk, canonicalize((b,))), 1)
     return out
+
+
+def kernel_delta_dim_reference(n: int, labels) -> int:
+    """`ucp.kernel_delta_dim` over every tree: enumerate the n-vertex
+    slice, then rank one `delta_perm` row per tree."""
+    trees = enum_partitioned(n, labels)
+    return len(trees) - linalg.sparse_rank(delta_perm(t) for t in trees)
 
 
 # ---------------------------------------------------------------------------

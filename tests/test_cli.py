@@ -47,6 +47,19 @@ def test_kerdelta_golden(capsys):
     assert out == "25\n"
 
 
+def test_kerdelta_bench_invocation(capsys):
+    rc, out = run(capsys, "kerdelta", "--degree", "7", "--labels", "2",
+                  "--force")
+    assert (rc, out) == (0, "4342\n")
+
+
+def test_kerdelta_reaches_degree_8(capsys, monkeypatch):
+    monkeypatch.setenv("COMPRELIE_MAXDEG", "8")
+    rc, out = run(capsys, "kerdelta", "--degree", "8", "--labels", "2",
+                  "--force")
+    assert (rc, out) == (0, "27608\n")
+
+
 def test_enum_golden(capsys):
     rc, out = run(capsys, "enum", "--n", "3", "--labels", "1",
                   "--mode", "partitioned")

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,19 +14,20 @@ from comprelie.lincomb import (
 from comprelie.ptree import (
     EMPTY, parse, serialize, drop_counters, forget_blocks, mul_merge,
     mul_disjoint, nvertices, enum_partitioned, enum_plain_forests,
-    NEW_BLOCK, graft_shift, vertices, is_plain, canonicalize,
+    NEW_BLOCK, graft_shift, vertices, is_plain, canonicalize, _unit_enum,
 )
 from comprelie.shuffle import bullet_tvf, words_of_length
 from comprelie.ucp import (
     ucp_bullet, cp_bullet, cp_bullet_with_map, hck_bullet,
     mul_merge_lc, mul_disjoint_lc,
     coproduct_ucp, coproduct_cp, coproduct_hck, counit, counter_elimination,
-    delta_perm, kernel_delta_dim,
+    delta_perm, kernel_delta_dim, _partitions, _pattern_counts, _patterned,
     cm_grow, cm_x, cm_delta_closed,
 )
 
 from oracles import (
     cm_delta_oracle, counter_elimination_recursive, dense_rref,
+    kernel_delta_dim_reference,
     tensor_flatten_left, tensor_flatten_right, tensor_swap23,
 )
 
@@ -420,10 +422,60 @@ def test_delta_perm_bullet_unit_rule_ucp():
 
 def test_kernel_delta_dims():
     # frozen: dim ker on the n-vertex slice, one and two decorations
-    assert [kernel_delta_dim(n, DLAB) for n in range(1, 7)] == [
-        1, 1, 1, 2, 4, 14]
-    assert [kernel_delta_dim(n, ("d", "e")) for n in range(1, 6)] == [
-        2, 3, 6, 25, 122]
+    assert [kernel_delta_dim(n, DLAB) for n in range(1, 10)] == [
+        1, 1, 1, 2, 4, 14, 42, 146, 502]
+    assert [kernel_delta_dim(n, ("d", "e")) for n in range(1, 9)] == [
+        2, 3, 6, 25, 122, 718, 4342, 27608]
+
+
+@pytest.mark.parametrize("labels,top", [
+    (("d",), 9), (("d", "e"), 7), (("d", "e", "f"), 5),
+    (("d", "e", "f", "g"), 4)])
+def test_kernel_delta_dim_matches_reference(labels, top):
+    for n in range(top + 1):
+        assert kernel_delta_dim(n, labels) == \
+            kernel_delta_dim_reference(n, labels), (n, labels)
+
+
+def _delta_class(t, piece=EMPTY):
+    """The class of a tree under delta_perm: its root labels, and its root
+    child blocks together with the root blocks of `piece`."""
+    roots = t[0] if t else ()
+    return (sorted(label for (_, label), _ in roots),
+            Counter([b for _, blocks in roots for b in blocks] + list(piece)))
+
+
+def test_delta_perm_keeps_the_class_of_its_tree():
+    # the lemma behind kernel_delta_dim; a cut inside a block breaks it
+    trees = [t for n in range(1, 6) for t in enum_partitioned(n, ("d", "e"))]
+    for t in trees:
+        for trunk, piece in delta_perm(t):
+            assert _delta_class(trunk, piece) == _delta_class(t), (
+                serialize(t), serialize(trunk), serialize(piece))
+    assert any(_delta_class(trunk, piece) != _delta_class(t)
+               for t in trees for trunk, piece in coproduct_cp(t)
+               if trunk and piece)
+
+
+@pytest.mark.parametrize("labels", [("d",), ("d", "e")])
+def test_pattern_counts_match_the_blocklists(labels):
+    counts = _pattern_counts(5, labels)
+    for m in range(6):
+        assert counts[m] == Counter(
+            tuple(sorted(Counter(bl).values()))
+            for bl in _unit_enum(labels).blocklists(m)), m
+
+
+def test_patterned_counts_multisets():
+    for n in range(5):
+        for s in range(6):
+            seen = Counter(
+                tuple(sorted(Counter(ms).values()))
+                for ms in itertools.combinations_with_replacement(
+                    range(n), s))
+            assert set(seen) <= set(_partitions(s))
+            for pattern in _partitions(s):
+                assert _patterned(n, pattern) == seen[pattern], (n, pattern)
 
 
 def test_kernel_delta_dim_matches_dense_rank():
