@@ -14,12 +14,12 @@ bialgebra product and satisfying, in Sweedler notation,
                     + prelie(a', b') (x) a''.b''
 
 Every structure is packaged as an :class:`AlgebraHandle`; the checks sweep
-basis tuples within a total-degree budget (``basis_tuples``, or random
-small combinations in sampled mode) and report the first counterexample:
-a tuple whose law kernel, reading the memoised key-level products, sums a
-nonzero defect.  The exhaustive sweep of a law whose defect a swap of two
-slots negates skips the diagonal of that swap, where the defect is X - X
-by construction.
+basis tuples within a total-degree budget (``basis_tuples``: all of them,
+or a seeded choice of them in sampled mode) and report the first
+counterexample: a tuple whose law kernel, reading the memoised key-level
+products, sums a nonzero defect.  A law whose defect a swap of two slots
+negates skips the diagonal of that swap, where the defect is X - X by
+construction.
 What applies is read off the handle: ``_LAWS`` names the pieces (product,
 coproduct, counit) each law needs, ``_CORRUPTIONS`` the piece each
 self-test corruption replaces, and every one whose pieces it has runs.
@@ -46,14 +46,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .lincomb import (
-    LinComb, _acc, bilinear_extend, fmt_lincomb, tensor, tensor_apply2, unit,
+    LinComb, _acc, bilinear_extend, tensor, tensor_apply2, unit,
 )
 
 
@@ -165,7 +164,8 @@ class _Ops:
 # tuple of basis keys into the LinComb acc; the law holds there iff the
 # defect is zero.  They read the key-level memo tables directly.  Every
 # defect is multilinear, so its value at LinCombs is the sum of its values
-# at their tuples of terms, weighted by the products of the coefficients.
+# at their tuples of terms, weighted by the products of the coefficients:
+# a LinComb checks nothing that its tuples of basis keys do not.
 
 def _commutativity(ops, acc, c, x, y):
     # x.y - y.x
@@ -297,25 +297,13 @@ def basis_tuples(slices: dict[int, list], arity: int, maxdeg: int):
             yield from itertools.product(*(slices[d] for d in degs))
 
 
-def basis_witnesses(alg: AlgebraHandle, slices: dict[int, list], arity: int,
-                    maxdeg: int, fails: Callable):
-    """`x=… y=…`, lazily, for each of the basis_tuples on which
+def basis_witnesses(alg: AlgebraHandle, tuples: Iterable[tuple],
+                    fails: Callable):
+    """`x=… y=…`, lazily, for each of the tuples of basis keys on which
     fails(*keys) holds."""
-    for keys in basis_tuples(slices, arity, maxdeg):
+    for keys in tuples:
         if fails(*keys):
-            yield _show(keys, alg.key_str)
-
-
-def _show(args, fmt: Callable) -> str:
-    return " ".join(f"{n}={fmt(a)}" for n, a in zip("xyz", args))
-
-
-def _sample_lincomb(rnd: random.Random, pool: list) -> LinComb:
-    out = LinComb()
-    for _ in range(rnd.randint(1, 3)):
-        out.add_term(pool[rnd.randrange(len(pool))],
-                     rnd.choice((-2, -1, 1, 2)))
-    return out
+            yield " ".join(f"{n}={alg.key_str(k)}" for n, k in zip("xyz", keys))
 
 
 def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
@@ -323,40 +311,37 @@ def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
     """One report for every law whose pieces the handle has, in one sweep
     over a shared memo table (``applicable_laws`` names the same laws).
 
-    A tuple fails when its defect, summed into one fresh LinComb, is
-    nonzero.  Exhaustive mode sweeps the basis tuples that a law's swap
-    orders strictly; sampled mode sums the law over the tuples of terms of
-    random small LinCombs."""
+    A law sweeps the basis tuples of total degree <= maxdeg that its swap
+    orders strictly, and a tuple fails when its defect, summed into one
+    fresh LinComb, is nonzero.  Exhaustive mode sweeps every such tuple;
+    sampled mode a choice of `samples` of them, seeded by seed and the
+    law, in the same order."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     ops = _Ops(alg)
     slices = _basis_slices(alg, maxdeg)
-    pool = [k for n in range(maxdeg + 1) for k in slices[n]]
-    order = {k: i for i, k in enumerate(pool)}
+    order = {k: i for i, k in enumerate(itertools.chain(*slices.values()))}
 
-    def exhaustive(law, arity, kernel, swap):
+    def witnesses(law, arity, kernel, swap):
         def fails(*keys):
-            if swap and order[keys[swap[0]]] >= order[keys[swap[1]]]:
-                return False
             acc = LinComb()
             kernel(ops, acc, 1, *keys)
             return acc
-        return basis_witnesses(alg, slices, arity, maxdeg, fails)
 
-    def sampled(law, arity, kernel, swap):
-        rnd = random.Random(f"{seed}:{law}")
-        for _ in range(samples):
-            args = [_sample_lincomb(rnd, pool) for _ in range(arity)]
-            acc = LinComb()
-            for terms in itertools.product(*(a.items() for a in args)):
-                kernel(ops, acc, math.prod(c for _, c in terms),
-                       *(k for k, _ in terms))
-            if acc:
-                yield _show(args, lambda a: fmt_lincomb(a, alg.key_str))
+        def swept():  # the tuples that the swap orders strictly
+            return (t for t in basis_tuples(slices, arity, maxdeg)
+                    if not swap or order[t[swap[0]]] < order[t[swap[1]]])
 
-    stream = exhaustive if mode == "exhaustive" else sampled
+        tuples = swept()
+        if mode == "sampled":
+            n = sum(1 for _ in tuples)
+            pick = set(random.Random(f"{seed}:{law}").sample(
+                range(n), min(samples, n)))
+            tuples = (t for i, t in enumerate(swept()) if i in pick)
+        return basis_witnesses(alg, tuples, fails)
+
     return [first_witness(law, alg.name, maxdeg,
-                          stream(law, arity, kernel, swap))
+                          witnesses(law, arity, kernel, swap))
             for law, arity, needs, kernel, swap in _LAWS
             if _supported(alg, needs)]
 
@@ -484,7 +469,7 @@ def check_eps_symmetry(alg: AlgebraHandle, eps: Callable,
         return ops.counit(ops.prelie_k(a, b)) != ops.counit(ops.prelie_k(b, a))
 
     return first_witness("eps-symmetry", alg.name, maxdeg, basis_witnesses(
-        alg, _basis_slices(alg, maxdeg), 2, maxdeg, fails))
+        alg, basis_tuples(_basis_slices(alg, maxdeg), 2, maxdeg), fails))
 
 
 def check_morphism(src: AlgebraHandle, dst: AlgebraHandle, phi: Callable,
@@ -499,7 +484,7 @@ def check_morphism(src: AlgebraHandle, dst: AlgebraHandle, phi: Callable,
     slices = _basis_slices(src, maxdeg)
 
     def sweep(arity, fails):
-        return basis_witnesses(src, slices, arity, maxdeg, fails)
+        return basis_witnesses(src, basis_tuples(slices, arity, maxdeg), fails)
 
     streams = {  # lazy: a stream is drawn only if both handles have the law
         "mul": sweep(2, lambda a, b: s.mul_k(a, b).map_linear(f)
@@ -509,7 +494,7 @@ def check_morphism(src: AlgebraHandle, dst: AlgebraHandle, phi: Callable,
         "coproduct": sweep(1, lambda a: tensor_apply2(s.cop_k(a), f, f)
                            != d.cop(f(a))),
         "counit": sweep(1, lambda a: d.counit(f(a)) != src.counit(a)),
-        "unit": basis_witnesses(src, {0: [src.unit]}, 1, 0,
+        "unit": basis_witnesses(src, [(src.unit,)],
                                 lambda a: f(a) != unit(dst.unit)),
     }
     name = f"{src.name}->{dst.name}"

@@ -26,10 +26,10 @@ repeated letter, a word with a letter outside its algebra's alphabet, and
 a tree outside its algebra's basis shapes; `check` builds every handle
 before its first sweep, so a parameter one refuses costs no sweep),
 3 resource bound exceeded (including input nested too deeply for the
-recursion limit), 141 (128 + SIGPIPE, what a shell reports for a process
-that SIGPIPE ends) when the reader closes stdout before the output is
-written, as `| head` does; the rest of the output is dropped without a
-traceback.
+recursion limit, and running out of memory), 141 (128 + SIGPIPE, what a
+shell reports for a process that SIGPIPE ends) when the reader closes
+stdout before the output is written, as `| head` does; the rest of the
+output is dropped without a traceback.
 Size flags (degrees, --n, the word length, the label count and --cap)
 above 5 need --force; the COMPRELIE_MAXDEG environment variable (default
 7) is a hard ceiling, and the only bound of `rigidity obstruction`, which
@@ -373,9 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="axiom sweeps over basis tuples")
     p.add_argument("--algebra", choices=HANDLE_NAMES + ("all",), required=True)
     p.add_argument("--maxdeg", type=int, default=3)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
+                   help="every basis tuple per law within --maxdeg, or a "
+                        "seeded choice of --samples of them")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--samples", type=int, default=40,
+                   help="basis tuples per law in sampled mode")
     p.add_argument("--selftest", action="store_true",
                    help="also verify the sweeps catch seeded corruptions "
                         "(at degree 3, whatever --maxdeg)")
@@ -417,6 +420,9 @@ def _run(argv) -> int:
     except RecursionError:
         print("error: input nested too deeply for the recursion limit",
               file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (CliError, ParseError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

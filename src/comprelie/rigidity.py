@@ -59,8 +59,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .axioms import (
-    AlgebraHandle, LawReport, _basis_slices, _Ops, basis_witnesses,
-    first_witness,
+    AlgebraHandle, LawReport, _basis_slices, _Ops, basis_tuples,
+    basis_witnesses, first_witness,
 )
 from .linalg import invert, mat_vec, nullspace, rank, solve
 from .lincomb import LinComb, bilinear_extend, tensor_apply2, unit
@@ -366,8 +366,8 @@ class HopfIso:
 
     def _witnesses(self, arity: int, fails: Callable):
         """Witnesses among the basis tuples within the degree bound."""
-        return basis_witnesses(self.tb.alg, self.tb.slices, arity, self.tb.N,
-                               fails)
+        return basis_witnesses(self.tb.alg, basis_tuples(
+            self.tb.slices, arity, self.tb.N), fails)
 
     def check_multiplicative(self) -> LawReport:
         """F of the commutative product is the shuffle of the F images,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 from typing import Callable, Mapping
 
 from .lincomb import LinComb, tensor, unit
@@ -47,7 +47,6 @@ from .ptree import (
     build_root,
     canonicalize,
     counter_total,
-    enum_partitioned,
     forget_blocks,
     grafts,
     ideals,
@@ -231,16 +230,21 @@ def _patterned(n: int, pattern: tuple) -> int:
 def _pattern_counts(top: int, labels) -> list[Counter]:
     """P[m][mu] for m <= top: the multisets of blocks of total size m whose
     sorted multiplicities are mu.  Size p adds, for each pattern nu of its
-    own blocks, p * |nu| vertices in `_patterned(blocks of size p, nu)`
-    ways."""
+    own blocks, p * |nu| vertices in `_patterned(blocks[p], nu)` ways.  A
+    block is a multiset of nodes, a p-vertex node a label over one of the
+    sum(P[p - 1]) block multisets: blocks are counted, not listed."""
     counts = [Counter() for _ in range(top + 1)]
     counts[0][()] = 1
+    blocks = [1] + [0] * top
     for p in range(1, top + 1):
-        blocks = len(enum_partitioned(p, labels))
+        nodes = len(labels) * sum(counts[p - 1].values())
         for m in range(top, p - 1, -1):  # downwards: size p is added once
+            blocks[m] += sum(comb(nodes + s - 1, s) * blocks[m - p * s]
+                             for s in range(1, m // p + 1))
+        for m in range(top, p - 1, -1):
             for s in range(1, m // p + 1):
                 for nu in _partitions(s):
-                    if ways := _patterned(blocks, nu):
+                    if ways := _patterned(blocks[p], nu):
                         for mu, c in counts[m - p * s].items():
                             counts[m][tuple(sorted(mu + nu))] += c * ways
     return counts

@@ -16,7 +16,6 @@ from comprelie.axioms import (
     _CORRUPTIONS,
     _LAWS,
     _Ops,
-    _sample_lincomb,
     _supported,
     all_pass,
     applicable_laws,
@@ -300,6 +299,15 @@ def _variants(alg):
                     if _supported(alg, (piece,))]
 
 
+def _sample_lincomb(rnd, pool):
+    """One to three random keys of the pool, with small nonzero weights."""
+    out = LinComb()
+    for _ in range(rnd.randint(1, 3)):
+        out.add_term(pool[rnd.randrange(len(pool))],
+                     rnd.choice((-2, -1, 1, 2)))
+    return out
+
+
 def _kernel_fails(kernel, ops, *args):
     """The kernel summed over the tuples of terms of LinComb args, nonzero."""
     acc = LinComb()
@@ -406,20 +414,55 @@ def test_sampled_mode_catches_corruption():
 
 
 def test_sampled_witnesses_are_pinned():
-    # the failing combinations of a corrupted cp, drawn at seed 11
+    # the failing basis tuples of a corrupted cp, drawn at seed 11
     reports = run_all(corrupt(cp_handle(), "prelie"), 3, mode="sampled",
                       seed=11, samples=60)
     assert _failures(reports) == [
-        "prelie cp!prelie 3 FAIL x=-2*{[d([d,d])]} "
-        "y=1*{[d([d([d])])]} + 2*{[d([d])]} + -1*{[d,d([d])]} "
-        "z=-1*{[d([d],[d])]} + 2*{[d,d([d])]} + 1*{[d,d]}",
-        "leibniz cp!prelie 3 FAIL x=-1*{[d([d],[d])]} + 1*{[d,d,d]} + "
-        "1*{[d]} y=-2*{[d([d([d])])]} + -2*{[d,d]} + -2*{[d]} z=1*{[d,d]}",
-        "compatibility cp!prelie 3 FAIL x=-2*{[d,d([d])]} "
-        "y=1*{[d([d],[d])]} + 2*{}",
-        "eps-prelie cp!prelie 3 FAIL x=-1*{[d([d],[d])]} "
-        "y=2*{[d,d([d])]} + 2*{}",
+        "prelie cp!prelie 3 FAIL x={[d]} y={} z={[d]}",
+        "leibniz cp!prelie 3 FAIL x={[d]} y={[d]} z={}",
+        "compatibility cp!prelie 3 FAIL x={[d]} y={}",
+        "eps-prelie cp!prelie 3 FAIL x={[d]} y={}",
     ]
+
+
+@pytest.mark.parametrize("name", HANDLE_NAMES)
+def test_sampled_tuples_stay_inside_the_exhaustive_sweep(monkeypatch, name):
+    # every tuple a sampled law evaluates is one the exhaustive sweep
+    # evaluates: basis keys of total degree <= maxdeg, off a swap's diagonal
+    seen = []
+
+    def recording(law, kernel):
+        def recorded(ops, acc, c, *keys):
+            seen.append((law, keys))
+            kernel(ops, acc, c, *keys)
+        return recorded
+
+    monkeypatch.setattr(axioms, "_LAWS", tuple(
+        (law, arity, needs, recording(law, kernel), swap)
+        for law, arity, needs, kernel, swap in _LAWS))
+    alg = get_handle(name)
+    deg = {k: n for n in range(4) for k in alg.basis(n)}
+    assert all_pass(run_all(alg, 3, mode="sampled", samples=25))
+    swaps = {law: swap for law, _, _, _, swap in _LAWS if swap}
+    assert {law for law, _ in seen} == set(applicable_laws(alg))
+    for law, keys in seen:
+        assert sum(deg.get(k, 4) for k in keys) <= 3, (law, keys)
+        if law in swaps:
+            i, j = swaps[law]
+            assert keys[i] != keys[j], (law, keys)
+
+
+def test_sampling_every_tuple_is_the_exhaustive_sweep():
+    # with more samples than any law has tuples (degneg1's 334 triples are
+    # the most), sampled mode reports what the exhaustive sweep reports,
+    # on every corrupted handle
+    lines = [line for name in HANDLE_NAMES for alg in _variants(
+        get_handle(name))[1:] for line in report_lines(
+            run_all(alg, 3, mode="sampled", samples=400))]
+    assert len(lines) == 239
+    assert sum(" FAIL " in line for line in lines) == 91
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == \
+        "87a11a9dd26bd8b415190002eb83f36ad0fb8e10693cd466ca321e36e7eeaae4"
 
 
 def test_unknown_mode():

@@ -60,6 +60,13 @@ def test_kerdelta_reaches_degree_8(capsys, monkeypatch):
     assert (rc, out) == (0, "27608\n")
 
 
+def test_kerdelta_reaches_degree_9(capsys, monkeypatch):
+    monkeypatch.setenv("COMPRELIE_MAXDEG", "9")
+    rc, out = run(capsys, "kerdelta", "--degree", "9", "--labels", "2",
+                  "--force")
+    assert (rc, out) == (0, "180198\n")
+
+
 def test_enum_golden(capsys):
     rc, out = run(capsys, "enum", "--n", "3", "--labels", "1",
                   "--mode", "partitioned")
@@ -708,6 +715,17 @@ def test_deep_input_exits_3(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(t):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "delta_perm", exhausted)
+    assert main(["delta", "{[d]}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_unknown_verb_exits_2():

@@ -459,8 +459,8 @@ def test_delta_perm_keeps_the_class_of_its_tree():
 
 @pytest.mark.parametrize("labels", [("d",), ("d", "e")])
 def test_pattern_counts_match_the_blocklists(labels):
-    counts = _pattern_counts(5, labels)
-    for m in range(6):
+    counts = _pattern_counts(6, labels)
+    for m in range(7):
         assert counts[m] == Counter(
             tuple(sorted(Counter(bl).values()))
             for bl in _unit_enum(labels).blocklists(m)), m
