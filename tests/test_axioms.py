@@ -341,8 +341,8 @@ def test_key_level_defects_match_the_reference(name):
                     defect(ref, *args)), (alg.name, law, args)
 
 
-def test_swapped_slots_never_hold_equal_keys(monkeypatch):
-    # the defect there is X - X, so the exhaustive sweep never evaluates it
+def _recording_laws(monkeypatch):
+    """Make every law's kernel record its (law, keys); return the record."""
     seen = []
 
     def recording(law, kernel):
@@ -351,11 +351,17 @@ def test_swapped_slots_never_hold_equal_keys(monkeypatch):
             kernel(ops, acc, c, *keys)
         return recorded
 
-    swaps = {law: swap for law, _, _, _, swap in _LAWS if swap}
-    assert swaps == {"commutativity": (0, 1), "prelie": (1, 2)}
     monkeypatch.setattr(axioms, "_LAWS", tuple(
         (law, arity, needs, recording(law, kernel), swap)
         for law, arity, needs, kernel, swap in _LAWS))
+    return seen
+
+
+def test_swapped_slots_never_hold_equal_keys(monkeypatch):
+    # the defect there is X - X, so the exhaustive sweep never evaluates it
+    swaps = {law: swap for law, _, _, _, swap in _LAWS if swap}
+    assert swaps == {"commutativity": (0, 1), "prelie": (1, 2)}
+    seen = _recording_laws(monkeypatch)
     assert all_pass(run_all(cp_handle(), 3))
     assert {law for law, _ in seen} >= set(swaps)
     for law, keys in seen:
@@ -364,14 +370,19 @@ def test_swapped_slots_never_hold_equal_keys(monkeypatch):
             assert keys[i] != keys[j], (law, keys)
 
 
-def test_corrupted_handle_reports_are_pinned():
+def _assert_corrupted_reports_pinned(**run_kw):
     # every corrupted handle's report lines at degree 3, witnesses included
     lines = [line for name in HANDLE_NAMES for alg in _variants(
-        get_handle(name))[1:] for line in report_lines(run_all(alg, 3))]
+        get_handle(name))[1:] for line in report_lines(
+            run_all(alg, 3, **run_kw))]
     assert len(lines) == 239
     assert sum(" FAIL " in line for line in lines) == 91
     assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == \
         "87a11a9dd26bd8b415190002eb83f36ad0fb8e10693cd466ca321e36e7eeaae4"
+
+
+def test_corrupted_handle_reports_are_pinned():
+    _assert_corrupted_reports_pinned()
 
 
 # handle calls of one run_all at degree 4: each key-level product is asked
@@ -429,17 +440,7 @@ def test_sampled_witnesses_are_pinned():
 def test_sampled_tuples_stay_inside_the_exhaustive_sweep(monkeypatch, name):
     # every tuple a sampled law evaluates is one the exhaustive sweep
     # evaluates: basis keys of total degree <= maxdeg, off a swap's diagonal
-    seen = []
-
-    def recording(law, kernel):
-        def recorded(ops, acc, c, *keys):
-            seen.append((law, keys))
-            kernel(ops, acc, c, *keys)
-        return recorded
-
-    monkeypatch.setattr(axioms, "_LAWS", tuple(
-        (law, arity, needs, recording(law, kernel), swap)
-        for law, arity, needs, kernel, swap in _LAWS))
+    seen = _recording_laws(monkeypatch)
     alg = get_handle(name)
     deg = {k: n for n in range(4) for k in alg.basis(n)}
     assert all_pass(run_all(alg, 3, mode="sampled", samples=25))
@@ -456,13 +457,7 @@ def test_sampling_every_tuple_is_the_exhaustive_sweep():
     # with more samples than any law has tuples (degneg1's 334 triples are
     # the most), sampled mode reports what the exhaustive sweep reports,
     # on every corrupted handle
-    lines = [line for name in HANDLE_NAMES for alg in _variants(
-        get_handle(name))[1:] for line in report_lines(
-            run_all(alg, 3, mode="sampled", samples=400))]
-    assert len(lines) == 239
-    assert sum(" FAIL " in line for line in lines) == 91
-    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == \
-        "87a11a9dd26bd8b415190002eb83f36ad0fb8e10693cd466ca321e36e7eeaae4"
+    _assert_corrupted_reports_pinned(mode="sampled", samples=400)
 
 
 def test_unknown_mode():
