@@ -117,8 +117,9 @@ def all_pass(reports) -> bool:
 
 class _Ops:
     """Linear extensions of one handle's evaluators, with key-level memo
-    tables.  They serve one law sweep (one per ``run_all``) and, through
-    ``rigidity.TruncatedBialgebra``, the rigidity pipeline."""
+    tables.  They serve one law sweep (one per ``run_all``, on the ids of
+    ``_on_ids``) and, through ``rigidity.TruncatedBialgebra``, the rigidity
+    pipeline, whose keys stay the basis keys: they are its public API."""
 
     def __init__(self, alg: AlgebraHandle):
         self.alg = alg
@@ -306,6 +307,49 @@ def basis_witnesses(alg: AlgebraHandle, tuples: Iterable[tuple],
             yield " ".join(f"{n}={alg.key_str(k)}" for n, k in zip("xyz", keys))
 
 
+class _Interned(dict):
+    """key -> id for one sweep: the keys it starts with get 0, 1, ... in
+    their order, a key seen later the next id, and ``key[i]`` is id i's."""
+
+    def __init__(self, keys):
+        self.key = list(keys)
+        super().__init__((k, i) for i, k in enumerate(self.key))
+
+    def __missing__(self, k):
+        i = self[k] = len(self.key)
+        self.key.append(k)
+        return i
+
+
+def _at_keys(f, ids: _Interned, *args):
+    return f(*map(ids.key.__getitem__, args))
+
+
+def _keys_to_ids(f, ids: _Interned, *args) -> LinComb:
+    out = LinComb()  # distinct keys have distinct ids: nothing to sum
+    out.update({ids[k]: c for k, c in _at_keys(f, ids, *args).items()})
+    return out
+
+
+def _legs_to_ids(f, ids: _Interned, *args) -> LinComb:
+    out = LinComb()
+    out.update({(ids[a], ids[b]): c
+                for (a, b), c in _at_keys(f, ids, *args).items()})
+    return out
+
+
+def _on_ids(alg: AlgebraHandle, ids: _Interned) -> AlgebraHandle:
+    """The handle on ids: each piece reads the keys of its ids and returns
+    ids, so a memo table or accumulator hashes a small int, where a tree
+    key's tuple would be hashed whole on every lookup."""
+    pieces = {"mul": _keys_to_ids, "prelie": _keys_to_ids,
+              "coproduct": _legs_to_ids, "counit": _at_keys,
+              "key_str": _at_keys}
+    return replace(alg, **{p: functools.partial(wrap, getattr(alg, p), ids)
+                           for p, wrap in pieces.items()
+                           if getattr(alg, p) is not None})
+
+
 def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
             seed: int = 7, samples: int = 40) -> list[LawReport]:
     """One report for every law whose pieces the handle has, in one sweep
@@ -315,12 +359,15 @@ def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
     orders strictly, and a tuple fails when its defect, summed into one
     fresh LinComb, is nonzero.  Exhaustive mode sweeps every such tuple;
     sampled mode a choice of `samples` of them, seeded by seed and the
-    law, in the same order."""
+    law, in the same order.  The sweep runs on ids (``_Interned``): the
+    basis keys are numbered in slice order, so a swap orders a tuple
+    strictly when its ids do, and witnesses print the keys back."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    ops = _Ops(alg)
     slices = _basis_slices(alg, maxdeg)
-    order = {k: i for i, k in enumerate(itertools.chain(*slices.values()))}
+    ids = _Interned(itertools.chain(*slices.values()))
+    slices = {n: [ids[k] for k in keys] for n, keys in slices.items()}
+    ops = _Ops(_on_ids(alg, ids))
 
     def witnesses(law, arity, kernel, swap):
         def fails(*keys):
@@ -330,7 +377,7 @@ def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
 
         def swept():  # the tuples that the swap orders strictly
             return (t for t in basis_tuples(slices, arity, maxdeg)
-                    if not swap or order[t[swap[0]]] < order[t[swap[1]]])
+                    if not swap or t[swap[0]] < t[swap[1]])
 
         tuples = swept()
         if mode == "sampled":
@@ -338,7 +385,7 @@ def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
             pick = set(random.Random(f"{seed}:{law}").sample(
                 range(n), min(samples, n)))
             tuples = (t for i, t in enumerate(swept()) if i in pick)
-        return basis_witnesses(alg, tuples, fails)
+        return basis_witnesses(ops.alg, tuples, fails)
 
     return [first_witness(law, alg.name, maxdeg,
                           witnesses(law, arity, kernel, swap))

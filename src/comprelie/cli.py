@@ -26,7 +26,8 @@ repeated letter, a word with a letter outside its algebra's alphabet, and
 a tree outside its algebra's basis shapes; `check` builds every handle
 before its first sweep, so a parameter one refuses costs no sweep),
 3 resource bound exceeded (including input nested too deeply for the
-recursion limit, and running out of memory), 141 (128 + SIGPIPE, what a
+recursion limit, running out of memory, and a `check --jobs` worker
+process that dies), 141 (128 + SIGPIPE, what a
 shell reports for a process that SIGPIPE ends) when the reader closes
 stdout before the output is written, as `| head` does; the rest of the
 output is dropped without a traceback.
@@ -269,9 +270,12 @@ def cmd_check(args) -> int:
     workers = min(at_least(args.jobs, 1, "--jobs"), len(algs))
     if workers > 1:
         # Imported here: it would add about 20 ms to every start-up.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(job, algs))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                blocks = list(pool.map(job, algs))
+        except BrokenExecutor:  # a worker died, say at the kernel's OOM kill
+            raise ResourceBound("a check worker process died") from None
     else:
         blocks = list(map(job, algs))
     reports = [r for block, _ in blocks for r in block]

@@ -9,7 +9,9 @@ round; the tests compare the two.
   over ``ptree.grafts`` in ``ucp`` and ``dual`` and ``dual.delta_root``;
 * ``counter_elimination_recursive`` gates ``ucp.counter_elimination``;
 * ``kernel_delta_dim_reference``, one ``delta_perm`` row per tree of the
-  slice, gates the class-by-class ``ucp.kernel_delta_dim``;
+  slice, gates the class-by-class ``ucp.kernel_delta_dim``, and
+  ``kernel_delta_series``, the generating-function identity dim Ker δ_n =
+  [xⁿ] A₊(x) · Π_k (1 − x^k)^(a_k), gates it where no rank can reach;
 * ``cm_delta_oracle`` gates ``ucp.cm_delta_closed``;
 * ``bullet_tvf_shuffles`` gates ``shuffle.bullet_tvf``;
 * ``bullet_varpi`` (over all ``splits``) gates ``shuffle.bullet_varpi``
@@ -561,6 +563,35 @@ def kernel_delta_dim_reference(n: int, labels) -> int:
     slice, then rank one `delta_perm` row per tree."""
     trees = enum_partitioned(n, labels)
     return len(trees) - linalg.sparse_rank(delta_perm(t) for t in trees)
+
+
+def _euler_step(b: list[int], d: list[int], c: list[int]) -> None:
+    """Append the next coefficient of c = Euler(b) = Π_k (1 − x^k)^(−b_k),
+    the multiset transform, once b is known up to that degree n:
+    n·c_n = Σ_{k=1..n} d_k c_{n−k}, with d_k = Σ_{j | k} j·b_j."""
+    n = len(c)
+    d.append(sum(j * b[j] for j in range(1, n + 1) if n % j == 0))
+    c.append(sum(d[k] * c[n - k] for k in range(1, n + 1)) // n)
+
+
+def kernel_delta_series(n_max: int, n_labels: int) -> list[int]:
+    """dim Ker δ_n for n = 1..n_max as [xⁿ] A₊(x) · Π_k (1 − x^k)^(a_k),
+    with a_n the n-vertex partitioned trees, no enumeration and no rank.
+
+    a_n is counted by the recursion that builds the trees: nodes(n) =
+    |D| · blocklists(n − 1), blocks = Euler(nodes), blocklists =
+    Euler(blocks), and a tree is one root block, so a_n = blocks(n).  The
+    product is then 1 / Euler(a), the block-list series, and one
+    power-series division gives the answer.  O(n²) integer operations."""
+    nodes, blocks, lists, d_nodes, d_blocks = [0], [1], [1], [0], [0]
+    for n in range(1, n_max + 1):
+        nodes.append(n_labels * lists[n - 1])
+        _euler_step(nodes, d_nodes, blocks)
+        _euler_step(blocks, d_blocks, lists)
+    ker = [0]
+    for n in range(1, n_max + 1):
+        ker.append(blocks[n] - sum(lists[k] * ker[n - k] for k in range(1, n)))
+    return ker[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ from comprelie import axioms
 from comprelie.axioms import (
     _CORRUPTIONS,
     _LAWS,
+    _Interned,
     _Ops,
+    _basis_slices,
+    _on_ids,
     _supported,
     all_pass,
     applicable_laws,
@@ -342,15 +345,22 @@ def test_key_level_defects_match_the_reference(name):
 
 
 def _recording_laws(monkeypatch):
-    """Make every law's kernel record its (law, keys); return the record."""
-    seen = []
+    """Make every law's kernel record its (law, keys), the ids it sweeps
+    read back as keys; return the record."""
+    seen, tables = [], []
+
+    class Recorded(_Interned):
+        def __init__(self, keys):
+            super().__init__(keys)
+            tables.append(self)
 
     def recording(law, kernel):
-        def recorded(ops, acc, c, *keys):
-            seen.append((law, keys))
-            kernel(ops, acc, c, *keys)
+        def recorded(ops, acc, c, *ids):
+            seen.append((law, tuple(tables[-1].key[i] for i in ids)))
+            kernel(ops, acc, c, *ids)
         return recorded
 
+    monkeypatch.setattr(axioms, "_Interned", Recorded)
     monkeypatch.setattr(axioms, "_LAWS", tuple(
         (law, arity, needs, recording(law, kernel), swap)
         for law, arity, needs, kernel, swap in _LAWS))
@@ -407,6 +417,57 @@ def test_sweep_handle_calls_are_pinned(name):
     alg = replace(alg, **{p: counted(getattr(alg, p)) for p in pieces})
     assert all_pass(run_all(alg, 4))
     assert next(calls) == HANDLE_CALLS_AT_4[name]
+
+
+def _read_back(ids, lc):
+    """A LinComb over ids, or over pairs of ids, with its keys read back."""
+    return {tuple(map(ids.key.__getitem__, k)) if type(k) is tuple
+            else ids.key[k]: c for k, c in lc.items()}
+
+
+@pytest.mark.parametrize("name", HANDLE_NAMES)
+def test_interned_keys_read_back(name):
+    # ids number the basis keys in slice order, and the handle on ids is
+    # the handle on keys, read through the id -> key table
+    alg = get_handle(name)
+    slices = _basis_slices(alg, 3)
+    keys = list(itertools.chain(*slices.values()))
+    ids = _Interned(keys)
+    assert ids.key == keys
+    assert [ids[k] for k in keys] == list(range(len(keys)))
+    on_ids = _on_ids(alg, ids)
+    copy = pickle.loads(pickle.dumps(on_ids))
+    for i, k in enumerate(keys):
+        assert on_ids.key_str(i) == copy.key_str(i) == alg.key_str(k)
+        if alg.coproduct is not None:
+            assert _read_back(ids, on_ids.coproduct(i)) == alg.coproduct(k)
+        if alg.counit is not None:
+            assert on_ids.counit(i) == alg.counit(k)
+    for a, b in basis_tuples(slices, 2, 3):
+        for piece in ("mul", "prelie"):
+            if getattr(alg, piece) is not None:
+                assert _read_back(ids, getattr(on_ids, piece)(
+                    ids[a], ids[b])) == getattr(alg, piece)(a, b)
+    # keys first met in a result take the next ids, and read back too
+    assert len(ids) == len(ids.key) >= len(keys)
+    assert all(ids[k] == i for i, k in enumerate(ids.key))
+
+
+@pytest.mark.parametrize("name", HANDLE_NAMES)
+def test_sweep_evaluates_the_tuples_the_basis_order_selects(monkeypatch,
+                                                           name):
+    # a swap compares ids where it compared positions in the basis slices:
+    # every law evaluates the same tuples, in the same order
+    seen = _recording_laws(monkeypatch)
+    alg = get_handle(name)
+    assert all_pass(run_all(alg, 3))
+    slices = _basis_slices(alg, 3)
+    order = {k: i for i, k in enumerate(itertools.chain(*slices.values()))}
+    for law, arity, _, _, swap in _LAWS:
+        if law in applicable_laws(alg):
+            assert [keys for ln, keys in seen if ln == law] == [
+                t for t in basis_tuples(slices, arity, 3)
+                if not swap or order[t[swap[0]]] < order[t[swap[1]]]], law
 
 
 # --- sampled mode ---------------------------------------------------------------

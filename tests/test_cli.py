@@ -728,6 +728,21 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     assert captured.err == "error: out of memory\n"
 
 
+def test_dead_check_worker_exits_3():
+    # a worker that dies (the kernel's OOM kill, say) is a resource bound,
+    # not a failed check; fork, so the worker runs the patched run_all
+    code = ("import multiprocessing, os, sys\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "from comprelie import cli\n"
+            "cli.run_all = lambda *args, **kwargs: os._exit(9)\n"
+            "sys.exit(cli.main(['check', '--algebra', 'all', '--maxdeg', "
+            "'1', '--jobs', '2']))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=SRC)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        3, "", "error: a check worker process died\n")
+
+
 def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["bogus"])

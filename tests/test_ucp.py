@@ -27,7 +27,7 @@ from comprelie.ucp import (
 
 from oracles import (
     cm_delta_oracle, counter_elimination_recursive, dense_rref,
-    kernel_delta_dim_reference,
+    kernel_delta_dim_reference, kernel_delta_series,
     tensor_flatten_left, tensor_flatten_right, tensor_swap23,
 )
 
@@ -435,6 +435,14 @@ def test_kernel_delta_dim_matches_reference(labels, top):
     for n in range(top + 1):
         assert kernel_delta_dim(n, labels) == \
             kernel_delta_dim_reference(n, labels), (n, labels)
+
+
+@pytest.mark.parametrize("labels,top", [(("d",), 12), (("d", "e"), 9)])
+def test_kernel_delta_dim_matches_the_series(labels, top):
+    # the computed rank against the generating-function count, at degrees
+    # the per-tree reference cannot reach
+    assert [kernel_delta_dim(n, labels) for n in range(1, top + 1)] == \
+        kernel_delta_series(top, len(labels))
 
 
 def _delta_class(t, piece=EMPTY):
