@@ -3,11 +3,10 @@
 Every algebra element in this package is a ``LinComb``: a finitely supported
 map from basis keys to exact rational coefficients.  Basis keys are opaque,
 hashable, canonical values (nested tuples for trees, tuples of strings for
-words, tuples of leg keys for tensors).  A tuple hashes its whole tree on
-every lookup, so the law sweep (``axioms.run_all``) numbers its keys with
-small ints; ``rigidity.TruncatedBialgebra`` and every verb keep the keys
-themselves.  Zero coefficients are never stored, so equality of LinCombs
-is plain dict equality.
+words, tuples of leg keys for tensors), except in the law sweep of
+``axioms.run_all``: its keys are small-int ids, as a tuple is hashed whole
+on every lookup (``rigidity.TruncatedBialgebra`` keeps tree keys).  Zero
+coefficients are never stored, so equality of LinCombs is dict equality.
 
 The scalar field is exact: no floats anywhere.  Coefficients are stored as
 they come — int or ``fractions.Fraction`` — which is safe because the two
