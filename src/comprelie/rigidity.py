@@ -47,6 +47,15 @@ Only the printed ``matrix`` methods build dense rows.  The checks return
 LawReport values through ``axioms.first_witness`` (same shape as the axiom
 sweeps), so a failed property names its witness.
 
+The checks run in int arithmetic, though omega's images, varpi and F hold
+Fractions (psi's 1/m, g = p/n, omega⁻¹'s pivots).  omega-coalgebra,
+hopf-coalgebra, hopf-multiplicative and varpi-primitives read views x = X / d
+of the images (X integral, d the lcm of x's denominators, one memo per map
+read through ``apply_word``, ``varpi_k`` or ``F_k``), add M·LHS − M·RHS, M
+the lcm of their terms' d, into one int accumulator (``_defect``) and fail
+iff a value is left: exact, as M ≠ 0 and Q has no zero divisors.
+hopf-iso's ``rank`` clears each row's denominators as it takes the row.
+
 The last section probes the converse: on the counter algebra with two
 distinct labels, no element has reduced coproduct equal to the single
 mixed tensor v_d ⊗ v_e; ``cofree_obstruction`` sets up that linear system
@@ -56,6 +65,7 @@ and reports it infeasible.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .axioms import (
@@ -63,8 +73,8 @@ from .axioms import (
     basis_witnesses, first_witness,
 )
 from .linalg import invert, mat_vec, nullspace, rank, solve
-from .lincomb import LinComb, bilinear_extend, tensor_apply2, unit
-from .shuffle import Word, deconcat, fmt_word, shuffle
+from .lincomb import LinComb, _acc, unit
+from .shuffle import Word, fmt_word, shuffle
 
 
 class TruncatedBialgebra(_Ops):
@@ -168,6 +178,40 @@ def _iso_witness(images: list, ncols: int, rows: str,
         return f"{len(images)} {rows} vs {ncols} {cols}"
     r = rank(images)
     return None if r == ncols else f"rank {r} < {ncols}"
+
+
+def _integral(x: LinComb) -> tuple[int, dict]:
+    """(d, X) with x = X / d: d the lcm of x's denominators, X int."""
+    d = lcm(*(c.denominator for c in x.values()))
+    return d, {k: c.numerator * (d // c.denominator) for k, c in x.items()}
+
+
+class _Integral(dict):
+    """key -> ``_integral(f(key))``, made on first use; f stays the truth."""
+
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __missing__(self, k):
+        out = self[k] = _integral(self.f(k))
+        return out
+
+
+def _tensor(x: tuple, y: tuple) -> tuple:
+    """The view of x ⊗ y from the views of x and y, its terms lazily."""
+    (dx, x), (dy, y) = x, y
+    return dx * dy, (((kx, ky), cx * cy) for kx, cx in x.items()
+                     for ky, cy in y.items())
+
+
+def _defect(terms: list) -> dict:
+    """M · Σ c·X/d over the terms (c, d, X) (X int, mapping or pairs), M the
+    lcm of the d, in one int accumulator: empty iff the sum is zero."""
+    m = lcm(*(d for _, d, _ in terms))
+    acc: dict = {}
+    for c, d, x in terms:
+        _acc(acc, c * (m // d), x)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +340,13 @@ class Omega:
 
     def check_coalgebra(self) -> LawReport:
         """Coproduct of omega(w) equals omega⊗omega of the deconcatenation."""
-        om = self.apply_word
+        om, cop = _Integral(self.apply_word), self.tb.cop_k
 
         def fails(w):
-            return self.tb.cop(om(w)) != tensor_apply2(deconcat(w), om, om)
+            d, x = om[w]
+            return _defect([(c, d, cop(k)) for k, c in x.items()] + [
+                (-1, *_tensor(om[w[:i]], om[w[i:]]))
+                for i in range(len(w) + 1)])
 
         words = (w for n in range(self.tb.N + 1) for w in self.words(n))
         return first_witness("omega-coalgebra", self.tb.alg.name, self.tb.N,
@@ -320,6 +367,9 @@ class HopfIso:
         self.omega = Omega(tb)
         self._varpi: dict = {}
         self._F: dict = {}
+        # two checks read F's views; omega's and varpi's live in the one
+        # check that reads each, so that their memory is freed after it
+        self._F_int = _Integral(self.F_k)
 
     def varpi_k(self, k) -> LinComb:
         """LinComb over letters: the letter coordinates of omega⁻¹(psi(k))."""
@@ -329,9 +379,6 @@ class HopfIso:
             out = self._varpi[k] = (self.omega.inverse(y, self.tb.deg[k])
                                     if y else LinComb())
         return out
-
-    def varpi(self, x: LinComb) -> LinComb:
-        return x.map_linear(self.varpi_k)
 
     def F_k(self, k) -> LinComb:
         """LinComb over letter words: the empty word on the unit, else
@@ -354,9 +401,6 @@ class HopfIso:
             self._F[k] = out
         return out
 
-    def F(self, x: LinComb) -> LinComb:
-        return x.map_linear(self.F_k)
-
     def matrix(self, n: int) -> list[list[Fraction]]:
         """For printing: rows indexed by the slice, columns by words(n)."""
         idx = {w: j for j, w in enumerate(self.omega.words(n))}
@@ -372,9 +416,12 @@ class HopfIso:
     def check_multiplicative(self) -> LawReport:
         """F of the commutative product is the shuffle of the F images,
         for every basis pair within the degree bound."""
+        F = self._F_int
+
         def fails(a, b):
-            return (self.F(self.tb.mul_k(a, b))
-                    != bilinear_extend(shuffle, self.F_k(a), self.F_k(b)))
+            d, pairs = _tensor(F[a], F[b])
+            return _defect([(c, *F[k]) for k, c in self.tb.mul_k(a, b).items()]
+                           + [(-c, d, shuffle(*uv)) for uv, c in pairs])
 
         return first_witness("hopf-multiplicative", self.tb.alg.name,
                              self.tb.N, self._witnesses(2, fails))
@@ -397,9 +444,14 @@ class HopfIso:
 
     def check_coalgebra(self) -> LawReport:
         """Deconcatenation of F(x) equals F⊗F of the coproduct."""
+        F = self._F_int
+
         def fails(k):
-            return (self.F_k(k).map_linear(deconcat)
-                    != tensor_apply2(self.tb.cop_k(k), self.F_k, self.F_k))
+            d, x = F[k]
+            return _defect([(1, d, (((w[:i], w[i:]), c) for w, c in x.items()
+                                    for i in range(len(w) + 1)))] + [
+                (-c, *_tensor(F[a], F[b]))
+                for (a, b), c in self.tb.cop_k(k).items()])
 
         return first_witness("hopf-coalgebra", self.tb.alg.name, self.tb.N,
                              self._witnesses(1, fails))
@@ -414,12 +466,18 @@ class HopfIso:
 
     def check_primitives(self) -> LawReport:
         """varpi restricted to the chosen primitives picks out exactly the
-        matching letter — the invertibility of varpi on primitives."""
-        om = self.omega
+        matching letter — the invertibility of varpi on primitives: with
+        the primitive P / d, Σ P_k varpi(k) = d · x."""
+        om, varpi = self.omega, _Integral(self.varpi_k)
+
+        def fails(x):
+            d, p = _integral(om.letter_prim[x])
+            return _defect([(c, *varpi[k]) for k, c in p.items()]
+                           + [(-d, 1, {x: 1})])
+
         return first_witness(
             "varpi-primitives", self.tb.alg.name, self.tb.N,
-            (f"letter={x}" for x in om.letters
-             if self.varpi(om.letter_prim[x]) != unit(x)))
+            (f"letter={x}" for x in om.letters if fails(x)))
 
     def run_checks(self) -> list[LawReport]:
         reports = self.omega.check_iso()

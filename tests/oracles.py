@@ -26,7 +26,9 @@ round; the tests compare the two.
   ``psi_reference``, ``varpi_reference`` and ``F_reference``, which sum
   over its tuples (varpi through ``omega_inverse_reference``, the whole
   inverse of omega), gate the first-leg recursions and the letter columns
-  of ``rigidity``;
+  of ``rigidity``; ``rigidity_reports_reference``, the four checks whose
+  kernels clear denominators computed on LinCombs of Fractions, gates the
+  int defect kernels of ``rigidity.HopfIso.run_checks``;
 * ``multisets_brute_force`` gates ``ptree._multisets``; ``with_counters``,
   every counter assignment 0..cap on a tree, gates the counterful
   enumeration (``cap``) of ``ptree.enum_partitioned`` and
@@ -59,7 +61,10 @@ from typing import Callable, Iterator, Mapping, Sequence
 from hypothesis import strategies as st
 
 from comprelie import linalg
-from comprelie.lincomb import LinComb, bilinear_extend, tensor, unit
+from comprelie.axioms import first_witness
+from comprelie.lincomb import (
+    LinComb, bilinear_extend, tensor, tensor_apply2, unit,
+)
 from comprelie.oudom import Extension
 from comprelie.ptree import (
     EMPTY, NEW_BLOCK, Block, Node, ParseError, PForest, _multisets,
@@ -68,7 +73,8 @@ from comprelie.ptree import (
     serialize, set_partitions, varsigma, vertices,
 )
 from comprelie.shuffle import (
-    EndoV, Varpi, Word, apply_endo, shuffle, words_of_length,
+    EndoV, Varpi, Word, apply_endo, deconcat, fmt_word, shuffle,
+    words_of_length,
 )
 from comprelie.ucp import (
     _power_map, cm_x, coproduct_hck, delta_perm, mul_disjoint_lc,
@@ -815,6 +821,31 @@ def F_reference(iso, k) -> LinComb:
         for t, c in iter_reduced(iso.tb, k, m).items():
             out.iadd_scaled(c, tensor(*map(iso.varpi_k, t)))
     return out
+
+
+def rigidity_reports_reference(iso) -> list:
+    """What ``iso.run_checks()`` reports, in its order, with omega-coalgebra,
+    varpi-primitives, hopf-coalgebra and hopf-multiplicative each a
+    comparison of LinCombs over Q; the other checks are the iso's own."""
+    tb, om, F_k, sweep = iso.tb, iso.omega, iso.F_k, iso._witnesses
+    name, N, apply_word = tb.alg.name, tb.N, om.apply_word
+    reports = om.check_iso()
+    reports.append(first_witness("omega-coalgebra", name, N, (
+        f"w={fmt_word(w)}" for n in range(N + 1) for w in om.words(n)
+        if tb.cop(apply_word(w)) != tensor_apply2(deconcat(w), apply_word,
+                                                  apply_word))))
+    reports += iso.check_iso()
+    reports.append(first_witness("varpi-primitives", name, N, (
+        f"letter={x}" for x in om.letters
+        if om.letter_prim[x].map_linear(iso.varpi_k) != unit(x))))
+    reports.append(iso.check_projection())
+    reports.append(first_witness("hopf-coalgebra", name, N, sweep(
+        1, lambda k: F_k(k).map_linear(deconcat)
+        != tensor_apply2(tb.cop_k(k), F_k, F_k))))
+    reports.append(first_witness("hopf-multiplicative", name, N, sweep(
+        2, lambda a, b: tb.mul_k(a, b).map_linear(F_k)
+        != bilinear_extend(shuffle, F_k(a), F_k(b)))))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from comprelie.cli import main
 from comprelie.handles import (
-    cp_handle, dual_cp_handle, hck_handle, ucp_handle,
+    cp_handle, dual_cp_handle, get_handle, hck_handle, ucp_handle,
 )
 from comprelie.lincomb import LinComb, unit
 from comprelie.ptree import parse
@@ -22,7 +22,7 @@ from comprelie.rigidity import (
 )
 from oracles import (
     F_reference, iter_reduced, omega_inverse_reference, psi_reference,
-    varpi_reference,
+    rigidity_reports_reference, varpi_reference,
 )
 
 P = parse
@@ -234,7 +234,7 @@ def test_hopf_golden_images():
     assert iso.F_k(iso.tb.alg.unit) == unit(())
     assert iso.F_k(TUN) == unit(("v1_0",))
     assert iso.F_k(TDEUX) == unit(("v2_0",)) + unit(("v1_0", "v1_0"))
-    assert iso.F(iso.tb.mul_k(TUN, TUN)) == \
+    assert iso.tb.mul_k(TUN, TUN).map_linear(iso.F_k) == \
         unit(("v1_0", "v1_0")).scale(2)
 
 
@@ -268,7 +268,7 @@ def test_varpi_kills_products_and_unit():
     assert iso.varpi_k(tb.alg.unit).is_zero()
     for a in tb.slices[1]:
         for b in tb.slices[2]:
-            assert iso.varpi(tb.mul_k(a, b)).is_zero()
+            assert tb.mul_k(a, b).map_linear(iso.varpi_k).is_zero()
 
 
 # --- every check fails on a seeded fault, naming its witness ---------------------
@@ -413,6 +413,67 @@ def test_hopf_projection_and_coalgebra_failure_witnesses():
         "hopf-coalgebra cp 3 FAIL x={[d([d])]}",
         "hopf-multiplicative cp 3 FAIL x={[d]} y={[d([d])]}",
     ]
+
+
+# --- the int defect kernels against the checks on LinCombs -----------------------
+# Each tampering is made before any check runs, so the kernels and the
+# reference see it alike; the last two make an image wrong by a fraction.
+
+def _product_in_g(iso):
+    x = next(x for x in iso.omega.letters if iso.omega.letter_deg[x] == 2)
+    one = iso.tb.slices[1][0]
+    iso.omega._g[x] = iso.omega._g[x] + iso.tb.mul_k(one, one)
+
+
+def _psi_fixes_a_product(iso):
+    tb, one = iso.tb, iso.tb.slices[1][0]
+    prod, psi_k = next(iter(tb.mul_k(one, one))), tb.psi_k
+    tb.psi_k = lambda k: unit(prod) if k == prod else psi_k(k)
+
+
+def _no_varpi_in_degree_1(iso):
+    iso._varpi[iso.tb.slices[1][0]] = LinComb()
+
+
+def _no_unit_image(iso):
+    iso._F[iso.tb.alg.unit] = LinComb()
+
+
+def _a_third_of_a_word_in_F(iso):
+    k = iso.tb.slices[2][0]
+    iso._F[k] = iso.F_k(k) + unit(iso.omega.words(2)[0]).scale(Fraction(1, 3))
+
+
+def _half_a_varpi(iso):
+    k = iso.tb.slices[1][-1]
+    iso._varpi[k] = iso.varpi_k(k).scale(Fraction(1, 2))
+
+
+# the shuffle algebra's primitives are its letters, all of degree 1, so
+# the first two tamperings have nothing to act on there
+ON_WORDS = [_no_varpi_in_degree_1, _no_unit_image, _a_third_of_a_word_in_F,
+            _half_a_varpi]
+ON_TREES = [_product_in_g, _psi_fixes_a_product] + ON_WORDS
+
+
+@pytest.mark.parametrize("name, labels, N, tamper", [
+    (name, labels, N, tamper)
+    for name, labels, N, tampers in [
+        ("cp", ("d",), 5, ON_TREES), ("hck", ("d",), 6, ON_TREES),
+        ("cp", ("d", "e", "f"), 3, ON_TREES), ("tvf", ("d",), 4, ON_WORDS)]
+    for tamper in [None] + tampers
+], ids=lambda v: (v.__name__ if callable(v) else "-".join(v)
+                  if isinstance(v, tuple) else str(v)))
+def test_checks_match_the_reference(name, labels, N, tamper):
+    reports = []
+    for check in (HopfIso.run_checks, rigidity_reports_reference):
+        iso = HopfIso(TruncatedBialgebra(get_handle(name, labels=labels), N))
+        if tamper:
+            tamper(iso)
+        reports.append(check(iso))
+    assert reports[0] == reports[1]
+    assert all(r.ok for r in reports[0]) == (tamper is None), \
+        _failures(reports[0])
 
 
 # --- the two-label obstruction ----------------------------------------------------
