@@ -14,12 +14,11 @@ bialgebra product and satisfying, in Sweedler notation,
                     + prelie(a', b') (x) a''.b''
 
 Every structure is packaged as an :class:`AlgebraHandle`; the checks sweep
-basis tuples within a total-degree budget (``basis_tuples``: all of them,
-or a seeded choice of them in sampled mode) and report the first
-counterexample: a tuple whose law kernel, reading the memoised key-level
-products, sums a nonzero defect.  A law whose defect a swap of two slots
-negates skips the diagonal of that swap, where the defect is X - X by
-construction.
+every basis tuple within a total-degree budget (``basis_tuples``) and
+report the first counterexample: a tuple whose law kernel, reading the
+memoised key-level products, sums a nonzero defect.  A law whose defect
+a swap of two slots negates skips the diagonal of that swap, where the
+defect is X - X by construction.
 What applies is read off the handle: ``_LAWS`` names the pieces (product,
 coproduct, counit) each law needs, ``_CORRUPTIONS`` the piece each
 self-test corruption replaces, and every one whose pieces it has runs.
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -350,45 +348,32 @@ def _on_ids(alg: AlgebraHandle, ids: _Interned) -> AlgebraHandle:
                            if getattr(alg, p) is not None})
 
 
-def run_all(alg: AlgebraHandle, maxdeg: int, mode: str = "exhaustive",
-            seed: int = 7, samples: int = 40) -> list[LawReport]:
+def run_all(alg: AlgebraHandle, maxdeg: int) -> list[LawReport]:
     """One report for every law whose pieces the handle has, in one sweep
     over a shared memo table (``applicable_laws`` names the same laws).
 
-    A law sweeps the basis tuples of total degree <= maxdeg that its swap
+    A law sweeps every basis tuple of total degree <= maxdeg that its swap
     orders strictly, and a tuple fails when its defect, summed into one
-    fresh LinComb, is nonzero.  Exhaustive mode sweeps every such tuple;
-    sampled mode a choice of `samples` of them, seeded by seed and the
-    law, in the same order.  The sweep runs on ids (``_Interned``): the
+    fresh LinComb, is nonzero.  The sweep runs on ids (``_Interned``): the
     basis keys are numbered in slice order, so a swap orders a tuple
     strictly when its ids do, and witnesses print the keys back."""
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     slices = _basis_slices(alg, maxdeg)
     ids = _Interned(itertools.chain(*slices.values()))
     slices = {n: [ids[k] for k in keys] for n, keys in slices.items()}
     ops = _Ops(_on_ids(alg, ids))
 
-    def witnesses(law, arity, kernel, swap):
+    def witnesses(arity, kernel, swap):
         def fails(*keys):
             acc = LinComb()
             kernel(ops, acc, 1, *keys)
             return acc
 
-        def swept():  # the tuples that the swap orders strictly
-            return (t for t in basis_tuples(slices, arity, maxdeg)
-                    if not swap or t[swap[0]] < t[swap[1]])
-
-        tuples = swept()
-        if mode == "sampled":
-            n = sum(1 for _ in tuples)
-            pick = set(random.Random(f"{seed}:{law}").sample(
-                range(n), min(samples, n)))
-            tuples = (t for i, t in enumerate(swept()) if i in pick)
+        tuples = (t for t in basis_tuples(slices, arity, maxdeg)
+                  if not swap or t[swap[0]] < t[swap[1]])
         return basis_witnesses(ops.alg, tuples, fails)
 
     return [first_witness(law, alg.name, maxdeg,
-                          witnesses(law, arity, kernel, swap))
+                          witnesses(arity, kernel, swap))
             for law, arity, needs, kernel, swap in _LAWS
             if _supported(alg, needs)]
 

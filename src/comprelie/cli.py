@@ -20,9 +20,9 @@ are dot-separated letters with `eps` for the empty word.
 
 Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
 unparseable input (including negative size flags, a COMPRELIE_MAXDEG
-that is not a nonnegative integer, --labels, --samples or --jobs below 1,
-an --alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a
-repeated letter, a word with a letter outside its algebra's alphabet, and
+that is not a nonnegative integer, --labels or --jobs below 1, an
+--alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a repeated
+letter, a word with a letter outside its algebra's alphabet, and
 a tree outside its algebra's basis shapes; `check` builds every handle
 before its first sweep, so a parameter one refuses costs no sweep),
 3 resource bound exceeded (including input nested too deeply for the
@@ -249,14 +249,12 @@ def cmd_rigidity_obstruction(args) -> int:
 
 def _check_job(args, alg) -> tuple:
     """One algebra's reports, and its self-test gaps under --selftest."""
-    reports = run_all(alg, args.maxdeg, mode=args.mode, seed=args.seed,
-                      samples=args.samples)
+    reports = run_all(alg, args.maxdeg)
     return reports, selftest_gaps(alg) if args.selftest else None
 
 
 def cmd_check(args) -> int:
     guard(args.maxdeg, args.force, "--maxdeg")
-    at_least(args.samples, 1, "--samples")
     names = list(HANDLE_NAMES) if args.algebra == "all" else [args.algebra]
     labels = labels_from(args, args.force)
     alphabet = labels if args.alphabet else None
@@ -377,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="axiom sweeps over basis tuples")
     p.add_argument("--algebra", choices=HANDLE_NAMES + ("all",), required=True)
     p.add_argument("--maxdeg", type=int, default=3)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
-                   help="every basis tuple per law within --maxdeg, or a "
-                        "seeded choice of --samples of them")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--samples", type=int, default=40,
-                   help="basis tuples per law in sampled mode")
     p.add_argument("--selftest", action="store_true",
                    help="also verify the sweeps catch seeded corruptions "
                         "(at degree 3, whatever --maxdeg)")

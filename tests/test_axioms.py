@@ -380,19 +380,14 @@ def test_swapped_slots_never_hold_equal_keys(monkeypatch):
             assert keys[i] != keys[j], (law, keys)
 
 
-def _assert_corrupted_reports_pinned(**run_kw):
+def test_corrupted_handle_reports_are_pinned():
     # every corrupted handle's report lines at degree 3, witnesses included
     lines = [line for name in HANDLE_NAMES for alg in _variants(
-        get_handle(name))[1:] for line in report_lines(
-            run_all(alg, 3, **run_kw))]
+        get_handle(name))[1:] for line in report_lines(run_all(alg, 3))]
     assert len(lines) == 239
     assert sum(" FAIL " in line for line in lines) == 91
     assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == \
         "87a11a9dd26bd8b415190002eb83f36ad0fb8e10693cd466ca321e36e7eeaae4"
-
-
-def test_corrupted_handle_reports_are_pinned():
-    _assert_corrupted_reports_pinned()
 
 
 # handle calls of one run_all at degree 4: each key-level product is asked
@@ -468,62 +463,6 @@ def test_sweep_evaluates_the_tuples_the_basis_order_selects(monkeypatch,
             assert [keys for ln, keys in seen if ln == law] == [
                 t for t in basis_tuples(slices, arity, 3)
                 if not swap or order[t[swap[0]]] < order[t[swap[1]]]], law
-
-
-# --- sampled mode ---------------------------------------------------------------
-
-def test_sampled_mode_clean():
-    for name in ("cp", "tvf"):
-        reports = run_all(get_handle(name), 3, mode="sampled", seed=11)
-        assert all_pass(reports), _failures(reports)
-
-
-def test_sampled_mode_catches_corruption():
-    bad = corrupt(cp_handle(), "prelie")
-    reports = _select(run_all(bad, 3, mode="sampled", seed=11, samples=60),
-                      COMPRELIE_LAWS)
-    assert not all_pass(reports)
-
-
-def test_sampled_witnesses_are_pinned():
-    # the failing basis tuples of a corrupted cp, drawn at seed 11
-    reports = run_all(corrupt(cp_handle(), "prelie"), 3, mode="sampled",
-                      seed=11, samples=60)
-    assert _failures(reports) == [
-        "prelie cp!prelie 3 FAIL x={[d]} y={} z={[d]}",
-        "leibniz cp!prelie 3 FAIL x={[d]} y={[d]} z={}",
-        "compatibility cp!prelie 3 FAIL x={[d]} y={}",
-        "eps-prelie cp!prelie 3 FAIL x={[d]} y={}",
-    ]
-
-
-@pytest.mark.parametrize("name", HANDLE_NAMES)
-def test_sampled_tuples_stay_inside_the_exhaustive_sweep(monkeypatch, name):
-    # every tuple a sampled law evaluates is one the exhaustive sweep
-    # evaluates: basis keys of total degree <= maxdeg, off a swap's diagonal
-    seen = _recording_laws(monkeypatch)
-    alg = get_handle(name)
-    deg = {k: n for n in range(4) for k in alg.basis(n)}
-    assert all_pass(run_all(alg, 3, mode="sampled", samples=25))
-    swaps = {law: swap for law, _, _, _, swap in _LAWS if swap}
-    assert {law for law, _ in seen} == set(applicable_laws(alg))
-    for law, keys in seen:
-        assert sum(deg.get(k, 4) for k in keys) <= 3, (law, keys)
-        if law in swaps:
-            i, j = swaps[law]
-            assert keys[i] != keys[j], (law, keys)
-
-
-def test_sampling_every_tuple_is_the_exhaustive_sweep():
-    # with more samples than any law has tuples (degneg1's 334 triples are
-    # the most), sampled mode reports what the exhaustive sweep reports,
-    # on every corrupted handle
-    _assert_corrupted_reports_pinned(mode="sampled", samples=400)
-
-
-def test_unknown_mode():
-    with pytest.raises(ValueError):
-        run_all(cp_handle(), 2, mode="fuzzy")
 
 
 # --- tensor construction ---------------------------------------------------------

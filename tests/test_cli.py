@@ -11,7 +11,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from comprelie import cli
 from comprelie.cli import build_parser, main
@@ -321,12 +321,6 @@ def test_check_selftest_every_algebra(capsys):
         f"selftest {name} PASS" for name in HANDLE_NAMES]
 
 
-def test_check_sampled_mode(capsys):
-    rc, out = run(capsys, "check", "--algebra", "tvf", "--maxdeg", "3",
-                  "--mode", "sampled", "--samples", "10", "--seed", "3")
-    assert rc == 0
-
-
 def test_check_pool_never_outnumbers_the_algebras(capsys, monkeypatch):
     # a stand-in pool that records its size and maps in this process, so
     # no worker is started whatever --jobs says
@@ -553,8 +547,6 @@ def test_negative_degree_exits_2(capsys, argv):
     ["enum", "--n", "3", "--labels", "-2"],
     ["kerdelta", "--degree", "3", "--alphabet", ","],
     ["check", "--algebra", "tvf", "--alphabet", ""],
-    ["check", "--algebra", "cp", "--mode", "sampled", "--samples", "-3"],
-    ["check", "--algebra", "cp", "--samples", "0"],
     ["rigidity", "obstruction", "--cap", "-1"],
     ["check", "--algebra", "cp", "--jobs", "0"],
     ["check", "--algebra", "all", "--jobs", "-4"],
@@ -568,8 +560,8 @@ def test_count_flag_out_of_range_exits_2(capsys, argv):
 
 def test_count_flags_at_their_least_value(capsys):
     assert main(["rigidity", "obstruction", "--cap", "0"]) == 0
-    assert main(["check", "--algebra", "cp", "--maxdeg", "1", "--mode",
-                 "sampled", "--samples", "1", "--jobs", "1"]) == 0
+    assert main(["check", "--algebra", "cp", "--maxdeg", "1", "--jobs",
+                 "1"]) == 0
     assert main(["enum", "--n", "1", "--alphabet", " ,x"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "{[x]}"
 
@@ -668,8 +660,8 @@ def test_cli_surface_is_pinned():
         "rigidity iso": h + ["--algebra", "--maxdeg"] + alphabet
         + ["--force"],
         "rigidity obstruction": h + alphabet + ["--cap"],
-        "check": h + ["--algebra", "--maxdeg", "--mode", "--seed",
-                      "--samples", "--selftest", "--abc", "--jobs"]
+        "check": h + ["--algebra", "--maxdeg", "--selftest", "--abc",
+                      "--jobs"]
         + alphabet + ["--force"],
     }
 
@@ -700,6 +692,37 @@ def test_delta_on_any_text_exits_0_or_2(text):
 @given(text=parser_inputs)
 def test_coprod_on_any_text_exits_0_or_2(algebra, text):
     exits_0_or_2(["coprod", "--algebra", algebra, text])
+
+
+# Word texts: the letters of the tvf and degneg1 alphabets and a few
+# outside both, dots, spaces and the empty word.
+word_inputs = st.lists(st.sampled_from(["a", "b", "c", "x", "y", "z", ".",
+                                        " ", "eps"]),
+                       max_size=16).map(lambda parts: "".join(parts)[:16])
+
+# Each verb that reads text, by the argv before its texts, with how many
+# texts it takes and what they are drawn from.  Neither strategy draws a
+# leading "-", which argparse would read as a flag.
+TEXT_VERBS = (
+    [(["theta"], 1, parser_inputs), (["psi"], 1, parser_inputs),
+     (["psi", "--inverse"], 1, parser_inputs)]
+    + [(["diamond", "--variant", v], 2, parser_inputs)
+       for v in ("ucp", "cp", "ext")]
+    + [(["eval", "--algebra", a, "--op", op], 2, parser_inputs)
+       for a in ("ucp", "cp", "hck", "dual-cp", "dual-ucp")
+       for op in ("prelie", "mul")]
+    + [(["coprod", "--algebra", a], 1, word_inputs)
+       for a in ("tvf", "degneg1")]
+    + [(["eval", "--algebra", a, "--op", op], 2, word_inputs)
+       for a in ("tvf", "degneg1") for op in ("prelie", "mul")])
+
+
+@pytest.mark.parametrize("prefix, arity, texts", TEXT_VERBS,
+                         ids=[" ".join(v[0]) for v in TEXT_VERBS])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_text_verb_on_any_text_exits_0_or_2(prefix, arity, texts, data):
+    exits_0_or_2(prefix + [data.draw(texts) for _ in range(arity)])
 
 
 DEEP_PATH = "{[" + "d([" * 399 + "d" + "])" * 399 + "]}"
@@ -741,6 +764,16 @@ def test_dead_check_worker_exits_3():
                        text=True, cwd=SRC)
     assert (r.returncode, r.stdout, r.stderr) == (
         3, "", "error: a check worker process died\n")
+
+
+@pytest.mark.parametrize("flag", [["--mode", "sampled"], ["--seed", "3"],
+                                  ["--samples", "10"]])
+def test_removed_check_flags_are_refused(capsys, flag):
+    # check has one sweep: no flag picks, seeds or sizes another
+    with pytest.raises(SystemExit) as e:
+        main(["check", "--algebra", "cp"] + flag)
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_verb_exits_2():
