@@ -547,6 +547,8 @@ def test_negative_degree_exits_2(capsys, argv):
     ["enum", "--n", "3", "--labels", "-2"],
     ["kerdelta", "--degree", "3", "--alphabet", ","],
     ["check", "--algebra", "tvf", "--alphabet", ""],
+    ["rigidity", "iso", "--algebra", "hck", "--maxdeg", "1", "--labels", "0"],
+    ["enum", "--n", "3", "--labels", "0"],
     ["rigidity", "obstruction", "--cap", "-1"],
     ["check", "--algebra", "cp", "--jobs", "0"],
     ["check", "--algebra", "all", "--jobs", "-4"],
