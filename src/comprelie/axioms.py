@@ -22,6 +22,8 @@ defect is X - X by construction.
 What applies is read off the handle: ``_LAWS`` names the pieces (product,
 coproduct, counit) each law needs, ``_CORRUPTIONS`` the piece each
 self-test corruption replaces, and every one whose pieces it has runs.
+Every law is homogeneous in prelie, so a sweep runs on beta * prelie, with
+beta clearing the denominators of its products (see ``run_all``).
 Every law check in the package, here and in ``oudom`` and ``rigidity``, is
 a lazy stream of witness strings over its cases, and ``first_witness``
 turns it into a :class:`LawReport` by drawing at most one.  All arithmetic
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -348,6 +351,19 @@ def _on_ids(alg: AlgebraHandle, ids: _Interned) -> AlgebraHandle:
                            if getattr(alg, p) is not None})
 
 
+def _times(beta: int, x: LinComb) -> LinComb:
+    """beta * x, a coefficient that comes out integral stored as an int."""
+    out = LinComb()  # beta != 0: no coefficient becomes zero
+    for k, c in x.items():
+        c *= beta
+        out[k] = c.numerator if c.denominator == 1 else c
+    return out
+
+
+def _scaled(beta: int, f: Callable, *args) -> LinComb:
+    return _times(beta, f(*args))
+
+
 def run_all(alg: AlgebraHandle, maxdeg: int) -> list[LawReport]:
     """One report for every law whose pieces the handle has, in one sweep
     over a shared memo table (``applicable_laws`` names the same laws).
@@ -356,11 +372,28 @@ def run_all(alg: AlgebraHandle, maxdeg: int) -> list[LawReport]:
     orders strictly, and a tuple fails when its defect, summed into one
     fresh LinComb, is nonzero.  The sweep runs on ids (``_Interned``): the
     basis keys are numbered in slice order, so a swap orders a tuple
-    strictly when its ids do, and witnesses print the keys back."""
+    strictly when its ids do, and witnesses print the keys back.
+
+    Every law is homogeneous in prelie (two factors in every term of the
+    preLie identity, one in leibniz, compatibility and eps-prelie, none
+    in the rest), so for a fixed beta != 0 sweeping beta * prelie gives
+    every tuple the same verdict.  When a product of two basis keys of
+    total degree < maxdeg (pairs every sweep asks for) has a coefficient
+    that is not an int, beta is the lcm of their denominators, and the
+    kernels sum ints where they would sum Fractions.  A later value that
+    beta does not clear stays a Fraction: exact, only slower."""
     slices = _basis_slices(alg, maxdeg)
     ids = _Interned(itertools.chain(*slices.values()))
     slices = {n: [ids[k] for k in keys] for n, keys in slices.items()}
     ops = _Ops(_on_ids(alg, ids))
+    dens = {c.denominator for pair in basis_tuples(slices, 2, maxdeg - 1)
+            for c in ops.prelie_k(*pair).values() if type(c) is not int}
+    if dens:  # beta is fixed here, once for the whole sweep
+        beta = math.lcm(*dens)
+        for key, x in ops._prelie.items():
+            ops._prelie[key] = _times(beta, x)
+        ops.alg = replace(ops.alg, prelie=functools.partial(
+            _scaled, beta, ops.alg.prelie))
 
     def witnesses(arity, kernel, swap):
         def fails(*keys):

@@ -22,8 +22,9 @@ Exit codes: 0 ok, 1 a requested check failed, 2 bad arguments or
 unparseable input (including negative size flags, a COMPRELIE_MAXDEG
 that is not a nonnegative integer, --labels or --jobs below 1, an
 --alphabet with no letter, a letter outside [A-Za-z0-9_]+ or a repeated
-letter, a word with a letter outside its algebra's alphabet, and
-a tree outside its algebra's basis shapes; `check` builds every handle
+letter, a word with a letter outside its algebra's alphabet,
+a tree outside its algebra's basis shapes, and a scalar (in a linear
+combination or --abc) outside `p` or `p/q`; `check` builds every handle
 before its first sweep, so a parameter one refuses costs no sweep),
 3 resource bound exceeded (including input nested too deeply for the
 recursion limit, running out of memory, and a `check --jobs` worker
@@ -409,6 +410,10 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # argparse (Python 3.11) reads `--flag=--` as an empty list
+        for dest, value in vars(args).items():
+            if value == []:
+                raise CliError(f"--{dest} needs a value, got '--'")
         return args.func(args)
     except ResourceBound as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,8 +11,13 @@ coefficients are never stored, so equality of LinCombs is dict equality.
 The scalar field is exact: no floats anywhere.  Coefficients are stored as
 they come — int or ``fractions.Fraction`` — which is safe because the two
 compare and hash identically for equal values; combinatorial code then runs
-on fast int arithmetic and Fractions appear only where division does
-(linear algebra, series with 1/n terms).
+on fast int arithmetic and Fractions appear only where division does:
+linear algebra, series with 1/n terms, a parsed ``p/q`` that is not
+integral (``parse_scalar`` and ``parse_lincomb`` keep every integral
+coefficient an int), and the products of a handle built on such a scalar,
+as degneg1's default a = b = c = 1/2 makes its preLie values
+half-integers.  The law sweep (``axioms.run_all``) clears those with one
+scalar before it sums them.
 
 Multilinear maps are built from three primitives: ``tensor`` expands a
 list of LinCombs into one LinComb over tuples of their keys, and
@@ -215,12 +220,24 @@ def fmt_scalar(c: Fraction | int) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def parse_scalar(s: str) -> Fraction:
-    """Parse `p` or `p/q`; raises ValueError on bad input, including q = 0."""
+_SCALAR_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_scalar(s: str) -> int | Fraction:
+    """Parse `p` or `p/q` (p may carry a `-`), as an int when it is
+    integral; raises ValueError on any other text, including q = 0 and
+    a part of more digits than Python converts (4300 by default)."""
+    m = _SCALAR_RE.fullmatch(s.strip())
+    if m is None:
+        raise ValueError(f"scalar {s!r} is not p or p/q")
     try:
-        return Fraction(s.strip())
+        c = Fraction(m[0])
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {s!r}") from None
+    except ValueError:  # Python refuses to convert a very long digit string
+        raise ValueError(
+            f"scalar of {len(m[0])} characters is too long") from None
+    return c.numerator if c.denominator == 1 else c
 
 
 def fmt_lincomb(x: LinComb, key_str: Callable[[Hashable], str]) -> str:
@@ -238,10 +255,10 @@ def parse_lincomb(text: str, parse_key: Callable[[str], Hashable]) -> LinComb:
     if s in ("", "0"):
         return LinComb()
     out = LinComb()
-    sign = Fraction(1)
+    sign = 1
     for i, tok in enumerate(re.split(r" ([+-]) ", s)):
         if i % 2:
-            sign = Fraction(1 if tok == "+" else -1)
+            sign = 1 if tok == "+" else -1
             continue
         term = tok.strip()
         if not term:

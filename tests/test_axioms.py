@@ -1,6 +1,7 @@
 """The law harness checked against itself: every handle passes the sweeps,
 every deliberate corruption is caught, and the tensor construction behaves."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -20,9 +21,11 @@ from comprelie.axioms import (
     _basis_slices,
     _on_ids,
     _supported,
+    _times,
     all_pass,
     applicable_laws,
     basis_tuples,
+    basis_witnesses,
     check_eps_symmetry,
     check_morphism,
     corrupt,
@@ -446,6 +449,105 @@ def test_interned_keys_read_back(name):
     # keys first met in a result take the next ids, and read back too
     assert len(ids) == len(ids.key) >= len(keys)
     assert all(ids[k] == i for i, k in enumerate(ids.key))
+
+
+# --- the sweep on beta * prelie ----------------------------------------------
+
+def _summed_types(monkeypatch):
+    """Make every law's kernel record the types of the coefficients it
+    adds, through ``_acc`` or ``add_term``; return the record."""
+    seen = set()
+    acc = axioms._acc
+
+    def spying_acc(out, coeff, other):
+        other = list(other.items() if isinstance(other, dict) else other)
+        seen.update([type(coeff)] + [type(c) for _, c in other])
+        acc(out, coeff, other)
+
+    class Recorded(LinComb):
+        def add_term(self, key, coeff):
+            seen.add(type(coeff))
+            super().add_term(key, coeff)
+
+    def recording(kernel):
+        def recorded(ops, out, c, *ids):
+            mine = Recorded()
+            kernel(ops, mine, c, *ids)
+            out.update(mine)
+        return recorded
+
+    monkeypatch.setattr(axioms, "_acc", spying_acc)
+    monkeypatch.setattr(axioms, "_LAWS", tuple(
+        (law, arity, needs, recording(kernel), swap)
+        for law, arity, needs, kernel, swap in _LAWS))
+    return seen
+
+
+DEGNEG1_POINTS = [(Fraction(1, 2),) * 3, (2, 1, -2),
+                  (Fraction(2), Fraction(1), Fraction(-2)),
+                  (Fraction(1, 3),) * 3]
+DEGNEG1_IDS = ["halves", "ints", "integral-fractions", "thirds"]
+
+
+@pytest.mark.parametrize("abc", DEGNEG1_POINTS, ids=DEGNEG1_IDS)
+def test_degneg1_sweep_sums_ints(monkeypatch, abc):
+    # half-integers at the default point, thirds off the surface, integral
+    # Fractions at (2, 1, -2): beta clears them all
+    alg = get_handle("degneg1", abc=abc)
+    seen = _summed_types(monkeypatch)
+    reports = run_all(alg, 4)
+    assert seen == {int}
+    assert all_pass(reports) == (abc[0] != Fraction(1, 3))
+
+
+def _unscaled_reports(alg, maxdeg):
+    """run_all's reports, from a sweep of the kernels on the basis keys
+    with the handle's own products."""
+    ops, slices = _Ops(alg), _basis_slices(alg, maxdeg)
+    position = {k: i for i, k in enumerate(itertools.chain(*slices.values()))}
+
+    def fails(kernel, *keys):
+        acc = LinComb()
+        kernel(ops, acc, 1, *keys)
+        return acc
+
+    def tuples(arity, swap):
+        return (t for t in basis_tuples(slices, arity, maxdeg) if not swap
+                or position[t[swap[0]]] < position[t[swap[1]]])
+
+    return [first_witness(law, alg.name, maxdeg, basis_witnesses(
+        alg, tuples(arity, swap), functools.partial(fails, kernel)))
+        for law, arity, needs, kernel, swap in _LAWS if _supported(alg, needs)]
+
+
+def _thirds_at_top(alg, maxdeg):
+    """alg with its preLie values a third of what they are on the word
+    pairs of total length maxdeg, which a sweep's beta never sees."""
+    def prelie(u, v):
+        out = alg.prelie(u, v)
+        return out.scale(Fraction(1, 3)) if len(u) + len(v) == maxdeg else out
+
+    return replace(alg, name=alg.name + "/3", prelie=prelie)
+
+
+@pytest.mark.parametrize("abc", DEGNEG1_POINTS, ids=DEGNEG1_IDS)
+def test_scaled_sweep_reports_what_the_unscaled_one_does(monkeypatch, abc):
+    # every law is homogeneous in prelie, so beta changes no report, also
+    # where a value beta does not clear is summed as a Fraction
+    base = get_handle("degneg1", abc=abc)
+    for alg in _variants(base) + [_thirds_at_top(base, 3)]:
+        assert report_lines(run_all(alg, 3)) == report_lines(
+            _unscaled_reports(alg, 3)), alg.name
+    seen = _summed_types(monkeypatch)
+    run_all(_thirds_at_top(base, 3), 3)
+    assert Fraction in seen
+
+
+def test_times_stores_integral_coefficients_as_ints():
+    got = _times(6, LinComb({"a": Fraction(1, 2), "b": Fraction(1, 4),
+                             "c": -2}))
+    assert got == {"a": 3, "b": Fraction(3, 2), "c": -12}
+    assert [type(c) for c in got.values()] == [int, Fraction, int]
 
 
 @pytest.mark.parametrize("name", HANDLE_NAMES)

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
@@ -287,6 +288,24 @@ def test_check_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The sweep workload, and degneg1 at two more points: (2, 1, -2) on its
+# surface a^2 - a + b c = 0, and (1/3, 1/3, 1/3) off it, which fails.
+@pytest.mark.parametrize("argv, code, digest", [
+    ("check --algebra all --maxdeg 5", 0,
+     "e753cc662b9557a8dd6a0c0d8bec22235f1dd5368067c3a5de7768f705e10104"),
+    ("check --algebra degneg1 --abc 1/3,1/3,1/3 --maxdeg 4", 1,
+     "8ad13c0aa45736bd8229350402741be38724422e362237a33bc410df6036bb3b"),
+    ("check --algebra degneg1 --abc 2,1,-2 --maxdeg 5", 0,
+     "374d91c4875a224c16e2dcd6a5e3589f003c0656c6d7c63e8733c8dc92ba65ff"),
+    ("check --algebra degneg1 --maxdeg 4 --selftest", 0,
+     "4264f2caba17fa0c5f8f3b17673362c373d3c31cdb363859f99fb99733bac893"),
+])
+def test_check_stdout_and_exit_code_are_pinned(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("maxdeg", ["0", "1", "2"])
 def test_check_selftest_below_degree_3(capsys, maxdeg):
     # the corruptions need degree 3 to break every law, so the self-test
@@ -474,6 +493,26 @@ def test_zero_denominator_exits_2(capsys):
     assert main(["check", "--algebra", "degneg1", "--maxdeg", "1",
                  "--abc", "1/0,1,1"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scalar", ["1e9999999", "1e5000", "1.5", "+1",
+                                    "1_0", "2/-3", "1/2/3", "0x10"])
+def test_scalar_outside_p_or_p_over_q_exits_2(capsys, scalar):
+    # Fraction would read the first five, the exponents at great cost
+    start = time.perf_counter()
+    assert main(["check", "--algebra", "degneg1", "--maxdeg", "1",
+                 "--abc", f"{scalar},0,0"]) == 2
+    assert main(["eval", "--algebra", "cp", f"{scalar}*{{[d]}}", "{[d]}"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: scalar {scalar!r} is not p or p/q\n" * 2
+
+
+def test_long_scalar_exits_2(capsys):
+    assert main(["coprod", "--algebra", "tvf", "9" * 5000 + "*a"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: scalar of 5000 characters is too long\n")
 
 
 def test_bad_word_letter_exits_2(capsys):
@@ -668,16 +707,18 @@ def test_cli_surface_is_pinned():
     }
 
 
-def exits_0_or_2(argv):
-    """Run `main` in process: exit 0 with output and a quiet stderr, or
-    exit 2 with nothing on stdout and one error line."""
+def exits_0_or_2(argv, codes=(0, 2)):
+    """Run `main` in process: exit 0 (or 1, a failed check, where codes
+    allow it) with output and a quiet stderr, or exit 2 (or 3, a resource
+    bound, where codes allow it) with nothing on stdout and one error
+    line."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
-    if rc == 0:
+    assert rc in codes
+    if rc in (0, 1):
         assert out.getvalue() and not err.getvalue()
     else:
-        assert rc == 2
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
@@ -725,6 +766,55 @@ TEXT_VERBS = (
 @given(data=st.data())
 def test_text_verb_on_any_text_exits_0_or_2(prefix, arity, texts, data):
     exits_0_or_2(prefix + [data.draw(texts) for _ in range(arity)])
+
+
+# --abc texts: any string of scalar characters, or comma-joined parts that
+# are often a well-formed `p` or `p/q`.
+scalar_chars = "0123456789/-.e_ "
+abc_texts = st.one_of(
+    st.text(alphabet=scalar_chars + ",", max_size=24),
+    st.lists(st.one_of(st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,2})?",
+                                     fullmatch=True),
+                       st.text(alphabet=scalar_chars, max_size=6)),
+             min_size=2, max_size=4).map(",".join))
+
+
+# Flag values are given in the `--flag=TEXT` form, as argparse would read
+# a leading "-" of a separate TEXT as a flag.
+@settings(max_examples=200, deadline=None)
+@given(abc_texts)
+def test_check_on_any_abc_exits_0_1_or_2(text):
+    exits_0_or_2(["check", "--algebra", "degneg1", "--maxdeg", "2",
+                  f"--abc={text}"], codes=(0, 1, 2))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("enum --n 2 --alphabet=--", "--alphabet"), ("enum --n=--", "--n"),
+    ("kerdelta --degree=--", "--degree"), ("check --algebra=--", "--algebra"),
+    ("check --algebra cp --abc=--", "--abc"),
+    ("rigidity obstruction --cap=--", "--cap"),
+    ("eval --algebra cp --op=-- {[d]} {[d]}", "--op"),
+])
+def test_flag_given_a_bare_double_dash_exits_2(capsys, argv, flag):
+    # argparse reads `--flag=--` as an empty list of values
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag} needs a value, got '--'\n")
+
+
+# Letters and the characters around them: parts of a valid alphabet,
+# commas, blanks, and characters no letter may hold.  More than 5 letters
+# is a resource bound without --force.
+alphabet_texts = st.text(alphabet="abZ09_, -.{é", max_size=16)
+
+
+@pytest.mark.parametrize("prefix", [["enum", "--n", "2"],
+                                    ["kerdelta", "--degree", "2"]],
+                         ids=["enum", "kerdelta"])
+@settings(max_examples=100, deadline=None)
+@given(text=alphabet_texts)
+def test_alphabet_verb_on_any_alphabet_exits_0_2_or_3(prefix, text):
+    exits_0_or_2(prefix + [f"--alphabet={text}"], codes=(0, 2, 3))
 
 
 DEEP_PATH = "{[" + "d([" * 399 + "d" + "])" * 399 + "]}"

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from comprelie.lincomb import (
     LinComb, unit, bilinear_extend, tensor, tensor_apply2,
-    fmt_scalar, parse_scalar, fmt_lincomb,
+    fmt_scalar, parse_scalar, fmt_lincomb, parse_lincomb,
 )
 from comprelie import linalg
 
@@ -74,6 +74,24 @@ def test_fmt():
 
 
 scalars = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+@given(st.fractions(max_denominator=10**6))
+def test_scalars_read_back_as_ints_where_integral(c):
+    got = parse_scalar(fmt_scalar(c))
+    assert got == c
+    assert type(got) is (int if c.denominator == 1 else Fraction)
+    assert type(parse_scalar(f"{c.numerator * 3}/{c.denominator * 3}")) \
+        is type(got)
+
+
+def test_parsed_integral_coefficients_are_ints():
+    x = parse_lincomb("2*a + b - c - 4/2*d + -e - 1/2*f", str)
+    assert x == {"a": 2, "b": 1, "c": -1, "d": -2, "e": -1,
+                 "f": Fraction(-1, 2)}
+    assert [type(c) for c in x.values()] == [int] * 5 + [Fraction]
+    assert fmt_lincomb(x, str) == \
+        "2*a + 1*b + -1*c + -2*d + -1*e + -1/2*f"
 
 
 @given(st.dictionaries(st.sampled_from("abcde"), scalars, max_size=5),
